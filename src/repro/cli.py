@@ -449,22 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheduler(p)
     p.add_argument("--kill-after", type=int, default=None, metavar="N",
                    help="simulate an abrupt service death after N "
-                        "ingested results (for restart drills; with "
-                        "--shards, N counts the killed shard's events)")
+                        "ingested results (for restart drills)")
     p.add_argument("--resume", action="store_true",
                    help="resume from the latest belief checkpoint "
                         "instead of starting fresh")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="shard the fleet belief across N worker "
-                        "processes behind the frame-protocol router "
-                        "(default: single-process service)")
-    p.add_argument("--local-shards", action="store_true",
-                   help="with --shards: drive the shard services "
-                        "in-process instead of forking workers (the "
-                        "byte-identical determinism reference)")
-    p.add_argument("--kill-shard", type=int, default=None, metavar="K",
-                   help="with --shards and --kill-after: kill shard K "
-                        "after N shard-local ingested results")
     p.add_argument("--metrics-port", type=int, default=None, metavar="P",
                    help="serve Prometheus text on 127.0.0.1:P/metrics "
                         "during the run (0 picks an ephemeral port)")
@@ -472,13 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SEC",
                    help="keep the /metrics endpoint up SEC seconds "
                         "after the run drains (for one-shot scrapes)")
-    p.add_argument("--stale-after", type=float, default=5.0,
-                   metavar="SEC",
-                   help="heartbeat staleness threshold before a "
-                        "shard-stall alert fires (default: 5s)")
-    p.add_argument("--webhook", metavar="URL", default=None,
-                   help="POST shard-stall/death and divergence alerts "
-                        "to URL as JSON (best-effort)")
 
     p = sub.add_parser(
         "schedule",
@@ -1107,12 +1088,33 @@ def cmd_serve(args, out) -> int:
         print("--resume needs the artifact cache (drop --no-cache)",
               file=sys.stderr)
         return 2
-    if args.kill_shard is not None and args.shards is None:
-        print("--kill-shard needs --shards", file=sys.stderr)
-        return 2
+    if args.metrics_port is None:
+        return _serve_run(args, out)
+    import time
+
+    from .core import telemetry
+
+    # Scoped, so an in-process caller (tests, embedding) gets its
+    # global telemetry state back afterwards.
+    with telemetry.use(telemetry.Telemetry(run_id="serve")):
+        server = telemetry.MetricsServer(port=args.metrics_port).start()
+        print(f"/metrics on http://{server.host}:{server.port}/metrics",
+              file=out)
+        out.flush()
+        try:
+            status = _serve_run(args, out)
+            if args.metrics_linger > 0:
+                print(f"  /metrics stays up for {args.metrics_linger:g}s",
+                      file=out)
+                out.flush()
+                time.sleep(args.metrics_linger)
+        finally:
+            server.stop()
+    return status
+
+
+def _serve_run(args, out) -> int:
     session = _scheduler_session(args)
-    if args.shards is not None:
-        return _serve_distributed(args, session, out)
     outcome = session.run(
         resume=args.resume, kill_after_events=args.kill_after
     )
@@ -1131,106 +1133,6 @@ def cmd_serve(args, out) -> int:
         outcome.log.write_jsonl(args.log)
         print(f"  event log written to {args.log}", file=out)
     return 0
-
-
-def _serve_distributed(args, session, out) -> int:
-    """``repro serve --shards N``: the sharded multi-process service."""
-    from .core import telemetry
-
-    if telemetry.active() is not None:
-        return _serve_distributed_run(args, session, out)
-    # Give the router somewhere to land counters (its own and the
-    # workers' merged deltas) so /metrics is populated — scoped, so an
-    # in-process caller (tests, embedding) gets its global telemetry
-    # state back afterwards.
-    with telemetry.use(telemetry.Telemetry(run_id="serve-distributed")):
-        return _serve_distributed_run(args, session, out)
-
-
-def _serve_distributed_run(args, session, out) -> int:
-    import time as _time
-
-    from .scheduler.distributed import (
-        DistributedSession,
-        WebhookAlertHook,
-    )
-
-    hooks = []
-    if args.webhook:
-        hooks.append(WebhookAlertHook(args.webhook))
-    dist = DistributedSession(session, shards=args.shards)
-    metrics_sink = [] if args.metrics_port is not None else None
-    outcome = dist.run(
-        mode="local" if args.local_shards else "process",
-        resume=args.resume,
-        kill_shard=args.kill_shard,
-        kill_after_events=(
-            args.kill_after if args.kill_shard is not None else None
-        ),
-        stale_after=args.stale_after,
-        alert_hooks=hooks,
-        metrics_port=args.metrics_port,
-        metrics_sink=metrics_sink,
-    )
-    shards_run = [s for s in outcome.shards if s is not None]
-    state = "killed" if outcome.killed_shards else "drained"
-    events = sum(s.events for s in shards_run)
-    ticks = sum(s.tick for s in shards_run)
-    print(f"distributed service {state}: {events} result(s) over "
-          f"{ticks} tick(s) across {len(outcome.shards)} shard(s), "
-          f"policy={session.scheduler.policy}", file=out)
-    for shard in outcome.shards:
-        if shard is None:
-            continue
-        spec = shard.spec
-        flags = " resumed" if shard.resumed else ""
-        print(f"  shard {spec.index}: devices [{spec.lo},{spec.hi}) "
-              f"events={shard.events} ticks={shard.tick}{flags}",
-              file=out)
-    for index in outcome.killed_shards:
-        print(f"  shard {index}: KILLED (resume with --resume)", file=out)
-    if outcome.merged_digest is not None:
-        print(f"  merged belief digest: {outcome.merged_digest}",
-              file=out)
-        if outcome.fold_digest is None:
-            # Resumed shards log only post-checkpoint events, so the
-            # fold referee has no complete stream to replay.
-            print("  event-stream fold digest: skipped "
-                  "(resumed from checkpoints)", file=out)
-        else:
-            fold_ok = outcome.fold_digest == outcome.merged_digest
-            print(f"  event-stream fold digest matches: "
-                  f"{'yes' if fold_ok else 'NO — DIVERGED'}", file=out)
-    if outcome.report is not None:
-        print(f"  devices={outcome.report.devices} "
-              f"detected={outcome.report.detected} "
-              f"escapes={outcome.report.escapes}", file=out)
-    for alert in outcome.alerts:
-        print(f"  alert: {alert}", file=out)
-    if "events_per_second" in outcome.stats:
-        print(f"  sustained ingest: "
-              f"{outcome.stats['events_per_second']:.1f} events/s",
-              file=out)
-    if args.log:
-        for shard in shards_run:
-            path = f"{args.log}.shard{shard.spec.index}"
-            with open(path, "w") as fp:
-                fp.write(shard.log_jsonl)
-        with open(args.log, "w") as fp:
-            fp.write(outcome.concatenated_jsonl())
-        print(f"  event logs written to {args.log} (+ per-shard "
-              f".shard<K> files)", file=out)
-    if metrics_sink:
-        server = metrics_sink[0]
-        if args.metrics_linger > 0:
-            print(f"  /metrics on http://{server.host}:{server.port}"
-                  f"/metrics for {args.metrics_linger:.0f}s", file=out)
-            out.flush()
-            _time.sleep(args.metrics_linger)
-        server.stop()
-    diverged = any(a["kind"] == "belief-divergence"
-                   for a in outcome.alerts)
-    return 1 if diverged else 0
 
 
 def cmd_schedule(args, out) -> int:

@@ -411,14 +411,6 @@ class SchedulerConfig:
             device's posterior when policies score an arm.  0 scores
             each device in isolation; 1 weighs fleet-wide evidence as
             strongly as the device's own outcomes.
-        lockstep: Arrival-order-invariant service mode, the contract
-            the distributed shard workers run under: a batch's results
-            ingest only once the whole in-flight batch has returned
-            (then sorted by device index), so the event log and belief
-            trajectory are independent of submit interleaving — what
-            makes a multi-process run byte-identical to its in-process
-            reference.  Off by default; the single-process service
-            keeps its lower-latency eager ingestion.
     """
 
     policy: str = "thompson"
@@ -429,7 +421,6 @@ class SchedulerConfig:
     checkpoint_every: int = 25
     cycle_budget: int = 25_000
     fleet_blend: float = 0.5
-    lockstep: bool = False
 
 
 @dataclass

@@ -29,6 +29,9 @@ one line per event/span in completion order, and a closing ``counters``
 line.  :func:`parse_trace` validates and round-trips it;
 :func:`summarize_trace` renders the markdown summary behind
 ``repro trace summarize`` and ``repro run --metrics``.
+:func:`render_prometheus` renders counters as Prometheus text, and
+:class:`MetricsServer` serves that text on ``/metrics`` (``repro serve
+--metrics-port``).
 """
 
 from __future__ import annotations
@@ -36,16 +39,16 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import (
+    Callable,
     Dict,
     Iterator,
     List,
     Mapping,
     Optional,
-    Sequence,
-    Tuple,
     Union,
 )
 
@@ -188,9 +191,9 @@ class Telemetry:
         return out.getvalue()
 
     def write_jsonl(self, path: str) -> None:
-        # pid-suffixed tmp + fsync: concurrent writers (shard workers,
-        # fork workers) publishing under one path must not clobber each
-        # other's half-written tmp, and the rename must never publish a
+        # pid-suffixed tmp + fsync: concurrent writers (fork workers)
+        # publishing under one path must not clobber each other's
+        # half-written tmp, and the rename must never publish a
         # partially flushed trace after a crash.
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fp:
@@ -271,44 +274,87 @@ def prometheus_name(name: str) -> str:
 
 
 def render_prometheus(
-    counters: Mapping[str, Number],
-    gauges: Sequence[Tuple[str, Mapping[str, str], Number]] = (),
-    prefix: str = "repro",
+    counters: Mapping[str, Number], prefix: str = "repro"
 ) -> str:
-    """Telemetry counters (plus gauge samples) as Prometheus text.
+    """Telemetry counters as Prometheus text.
 
     ``counters`` maps telemetry names to monotonic totals; each renders
-    as ``<prefix>_<name>_total`` with a ``# TYPE`` line.  ``gauges``
-    are ``(name, labels, value)`` samples for point-in-time state
-    (queue depth, heartbeat age).  Output is fully sorted, so a
-    snapshot is deterministic for a given input — scrapes diff cleanly
-    in tests and CI.
+    as ``<prefix>_<name>_total`` with a ``# TYPE`` line.  Output is
+    sorted, so a snapshot is deterministic for a given input — scrapes
+    diff cleanly in tests and CI.
     """
     lines: List[str] = []
     for name in sorted(counters):
         metric = prometheus_name(f"{prefix}_{name}_total")
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_format_value(counters[name])}")
-    grouped: Dict[str, List[Tuple[Mapping[str, str], Number]]] = {}
-    for name, labels, value in gauges:
-        metric = prometheus_name(f"{prefix}_{name}")
-        grouped.setdefault(metric, []).append((labels, value))
-    for metric in sorted(grouped):
-        lines.append(f"# TYPE {metric} gauge")
-        for labels, value in sorted(
-            grouped[metric], key=lambda entry: sorted(entry[0].items())
-        ):
-            if labels:
-                label_text = ",".join(
-                    f'{prometheus_name(key)}="{labels[key]}"'
-                    for key in sorted(labels)
-                )
-                lines.append(
-                    f"{metric}{{{label_text}}} {_format_value(value)}"
-                )
-            else:
-                lines.append(f"{metric} {_format_value(value)}")
     return "\n".join(lines) + "\n"
+
+
+def render_active() -> str:
+    """Prometheus text of the active telemetry's counters.
+
+    Copies the counter dict first: scrapes run on the server thread
+    while producers keep adding counters on the main thread.
+    """
+    active = _ACTIVE
+    return render_prometheus(
+        dict(active.counters) if active is not None else {}
+    )
+
+
+class MetricsServer:
+    """Threaded HTTP server exposing ``/metrics`` (Prometheus text).
+
+    ``render`` is called per scrape, so the endpoint always shows the
+    current counter state.  ``port=0`` binds an ephemeral port (the
+    resolved one is in :attr:`port`).
+    """
+
+    def __init__(self, render: Callable[[], str] = render_active,
+                 port: int = 0, host: str = "127.0.0.1"):
+        # Imported here so the many modules importing telemetry do
+        # not pay for an HTTP stack only ``repro serve`` uses.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self) -> None:  # noqa: N802 (http.server API)
+                if self.path in ("/", "/metrics"):
+                    body = outer.render().encode("utf-8")
+                    self.send_response(200)
+                    self.send_header(
+                        "Content-Type", "text/plain; version=0.0.4"
+                    )
+                    self.send_header("Content-Length", str(len(body)))
+                    self.end_headers()
+                    self.wfile.write(body)
+                else:
+                    self.send_response(404)
+                    self.end_headers()
+
+            def log_message(self, *args: object) -> None:
+                pass  # scrapes are telemetry, not stderr noise
+
+        self.render = render
+        self._server = ThreadingHTTPServer((host, port), Handler)
+        self.host = host
+        self.port = int(self._server.server_address[1])
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            name="repro-metrics",
+            daemon=True,
+        )
+
+    def start(self) -> "MetricsServer":
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------

@@ -21,25 +21,13 @@ Modules:
 * :mod:`~repro.scheduler.replay` — simulated device clients over the
   campaign's :class:`~repro.campaign.engine.DeviceRunner`, session
   driver, schedule reports, byte-exact replay verification.
-* :mod:`~repro.scheduler.distributed` — the fleet belief sharded by
-  device-index range across worker processes behind a length-prefixed
-  JSON frame router, with exact shard merge, per-shard heartbeats,
-  alert hooks, and a Prometheus-text ``/metrics`` snapshot.
+
+The service runs in one process.  ``repro serve --metrics-port`` exposes
+its telemetry counters as Prometheus text through
+:class:`~repro.core.telemetry.MetricsServer`.
 """
 
 from .belief import ArmSpec, DeviceBelief, FleetBelief, fleet_prior
-from .distributed import (
-    AlertHub,
-    DistributedOutcome,
-    DistributedSession,
-    FrameDecoder,
-    MetricsServer,
-    ShardRouter,
-    WebhookAlertHook,
-    encode_frame,
-    fold_event_stream,
-    shard_ranges,
-)
 from .policy import (
     Dispatch,
     PlanRequest,
@@ -64,18 +52,13 @@ from .service import (
 )
 
 __all__ = [
-    "AlertHub",
     "ArmSpec",
     "DeviceBelief",
     "DetectionService",
     "Dispatch",
-    "DistributedOutcome",
-    "DistributedSession",
     "EventLog",
     "FleetAdapter",
     "FleetBelief",
-    "FrameDecoder",
-    "MetricsServer",
     "PlanRequest",
     "POLICIES",
     "Policy",
@@ -85,13 +68,8 @@ __all__ = [
     "ScheduleOutcome",
     "ScheduleReport",
     "ScheduleSession",
-    "ShardRouter",
-    "WebhookAlertHook",
     "build_arms",
-    "encode_frame",
     "fleet_prior",
-    "fold_event_stream",
     "make_policy",
-    "shard_ranges",
     "verify_replay",
 ]

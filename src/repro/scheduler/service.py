@@ -49,15 +49,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import (
-    Awaitable,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import telemetry
 from ..core.artifacts import ArtifactCache
@@ -74,7 +66,7 @@ class RetryAfter(Exception):
     passes (logical time — there are no wall-clock timers anywhere in
     the service).  The service scales it with queue occupancy and the
     batch deadline, so a saturated fleet's clients fan out across
-    ticks instead of retrying in lockstep every pass.
+    ticks instead of all retrying on the very next pass.
     """
 
     def __init__(self, retry_after: int = 1):
@@ -134,10 +126,10 @@ class EventLog:
         return out.getvalue()
 
     def write_jsonl(self, path: str) -> None:
-        # The tmp name carries the pid: shard workers and the router may
-        # publish logs under the same directory concurrently, and a
-        # shared f"{path}.tmp" would let two writers clobber each
-        # other's half-written file before the rename.  fsync before
+        # The tmp name carries the pid: concurrent processes may
+        # publish logs under the same path, and a shared
+        # f"{path}.tmp" would let two writers clobber each other's
+        # half-written file before the rename.  fsync before
         # os.replace so the atomic rename never publishes an empty or
         # partially flushed log after a crash.
         tmp = f"{path}.tmp.{os.getpid()}"
@@ -195,17 +187,6 @@ class DetectionService:
         self._draining = False
         self._stopped = False
         self._window = 0
-        #: Lockstep mode only: device ids of clients still enrolled
-        #: (never yet answered "retire"), built lazily on first plan.
-        self._live_clients: Optional[set] = None
-        #: Optional async callable awaited when a scheduler pass makes
-        #: no progress (default: one cooperative ``asyncio.sleep(0)``
-        #: pass).  The distributed shard worker parks here on its
-        #: "frame arrived" event instead of spinning on the socket.
-        #: In lockstep mode idle passes never mutate state (the batch
-        #: window cannot expire), so the wait strategy cannot change
-        #: the trajectory.
-        self.idle_wait: Optional[Callable[[], Awaitable[None]]] = None
 
     # -- client API ----------------------------------------------------
     async def request_plan(
@@ -287,10 +268,7 @@ class DetectionService:
                     break
                 if not progressed:
                     # Yield so clients can enqueue requests/results.
-                    if self.idle_wait is not None:
-                        await self.idle_wait()
-                    else:
-                        await asyncio.sleep(0)
+                    await asyncio.sleep(0)
         except ServiceKilled:
             # Simulated hard kill: leave belief/log state as-is (the
             # periodic checkpoints are the only survivors), but release
@@ -318,7 +296,7 @@ class DetectionService:
         """One scheduler pass: ingest, then maybe plan.  Returns
         whether any state advanced."""
         progressed = False
-        if self._buffer and self._ingest_ready():
+        if self._buffer:
             self._ingest()
             progressed = True
         if not self._outstanding and not self._buffer and not self._draining:
@@ -327,21 +305,6 @@ class DetectionService:
             self._retire_waiters(log=True)
             progressed = True
         return progressed
-
-    def _ingest_ready(self) -> bool:
-        """Whether the buffered results may fold in on this pass.
-
-        The default service ingests whatever is buffered, so the event
-        log's within-tick record order follows the submit interleaving
-        — deterministic for in-loop clients, racy for remote ones.  In
-        ``lockstep`` mode (the distributed shard contract) ingestion
-        waits for the in-flight batch to return *completely*; the batch
-        then folds in sorted by device index, making the trajectory
-        independent of frame arrival order on the wire.
-        """
-        if not self.config.lockstep:
-            return True
-        return len(self._buffer) >= len(self._outstanding)
 
     # -- ingestion -----------------------------------------------------
     def _ingest(self) -> None:
@@ -388,26 +351,6 @@ class DetectionService:
             raise KeyError(f"unknown arm {name!r}") from None
 
     # -- planning ------------------------------------------------------
-    def _lockstep_target(self) -> int:
-        """Clients still enrolled (never yet answered "retire").
-
-        The lockstep batch closes only once *every* enrolled client's
-        request has arrived, so the close-time waiter set — and with
-        it retire ordering and batch composition — is a pure function
-        of the trajectory, never of frame arrival timing.
-        """
-        if self._live_clients is None:
-            self._live_clients = {
-                device_id
-                for device_id in self.belief.devices
-                if not self.belief.device_done(device_id, self.arms)
-            }
-        return len(self._live_clients)
-
-    def _drop_client(self, device_id: str) -> None:
-        if self._live_clients is not None:
-            self._live_clients.discard(device_id)
-
     def _maybe_plan(self) -> bool:
         pending = [
             (request, future)
@@ -416,29 +359,20 @@ class DetectionService:
         ]
         if not pending:
             return False
-        if self.config.lockstep:
-            if len(pending) < self._lockstep_target():
-                return False
-            # Close with the full client set, in device order — the
-            # scan order (and so the retire-event order) cannot depend
-            # on how requests interleaved on the wire.
-            pending.sort(key=lambda item: item[0].device_index)
         live: List[Tuple[PlanRequest, asyncio.Future]] = []
         for request, future in pending:
             if self.belief.device_done(request.device_id, self.arms):
                 future.set_result(None)
-                self._drop_client(request.device_id)
                 self._log_retire(request.device_id)
             else:
                 live.append((request, future))
         self._waiters = list(live)
         if not live:
             return True
-        if not self.config.lockstep:
-            target = min(self.config.batch_size, self._active_devices())
-            if len(live) < target and self._window < self.config.batch_window:
-                self._window += 1
-                return False
+        target = min(self.config.batch_size, self._active_devices())
+        if len(live) < target and self._window < self.config.batch_window:
+            self._window += 1
+            return False
         self._window = 0
         live.sort(key=lambda item: item[0].device_index)
         batch = live[: self.config.batch_size]
@@ -455,7 +389,6 @@ class DetectionService:
             dispatch = by_device.get(request.device_id)
             if dispatch is None:
                 future.set_result(None)
-                self._drop_client(request.device_id)
                 self._log_retire(request.device_id)
                 continue
             self.belief.record_dispatch(

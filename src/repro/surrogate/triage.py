@@ -54,7 +54,7 @@ def fleet_draws(
 
     The returned rng has consumed exactly the corner and intensity
     draws; :func:`profiled_spec` continues it for the faulty-model
-    assignment, so the exact and surrogate paths stay in lockstep.
+    assignment, so the exact and surrogate paths draw identical streams.
     """
     rng = stream_rng("surrogate.fleet", config.seed, index)
     corner = (

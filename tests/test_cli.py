@@ -289,53 +289,46 @@ class TestSchedulerCli:
         assert "service drained" in text
         assert "resumed from belief checkpoint" in text
 
-    @pytest.mark.skipif(
-        not hasattr(__import__("os"), "fork"),
-        reason="multi-process shards need os.fork",
-    )
-    def test_serve_distributed_kill_resume_and_digest(self, tmp_path):
-        argv = [
-            "serve",
-            "--unit", "alu",
-            "--devices", "4",
-            "--onset-years", "6",
-            "--shards", "2",
-            # Generous staleness threshold: a loaded CI box must not
-            # trip stall alerts during a healthy smoke run.
-            "--stale-after", "30",
-        ]
-        clean_cache = str(tmp_path / "clean")
-        code, text = _run(argv + ["--cache-dir", clean_cache])
-        assert code == 0
-        assert "distributed service drained" in text
-        assert "event-stream fold digest matches: yes" in text
-        digest_line = next(
-            line for line in text.splitlines()
-            if "merged belief digest:" in line
-        )
+    def test_serve_metrics_port_scrapes_single_process(
+        self, tmp_path, monkeypatch
+    ):
+        import re
+        import time
+        import urllib.request
 
-        cache = str(tmp_path / "drill")
-        code, text = _run(
-            argv + ["--cache-dir", cache, "--kill-shard", "1",
-                    "--kill-after", "2"]
+        # Scrape from inside the linger window: the CLI sleeps there
+        # with the endpoint up, so a stubbed sleep is the scraper.
+        out = io.StringIO()
+        scraped = []
+
+        def scrape(_seconds):
+            url = re.search(r"(http://\S+/metrics)", out.getvalue()).group(1)
+            scraped.append(
+                urllib.request.urlopen(url, timeout=5).read().decode()
+            )
+
+        monkeypatch.setattr(time, "sleep", scrape)
+        code = main(
+            [
+                "serve",
+                "--unit", "alu",
+                "--devices", "4",
+                "--onset-years", "6",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--metrics-port", "0",
+                "--metrics-linger", "1",
+            ],
+            out=out,
         )
         assert code == 0
-        assert "shard 1: KILLED" in text
-
-        code, text = _run(argv + ["--cache-dir", cache, "--resume"])
-        assert code == 0
-        assert "distributed service drained" in text
-        # Resumed shards log only post-checkpoint events; the fold
-        # referee is skipped, never reported as divergence.
-        assert "skipped (resumed from checkpoints)" in text
-        assert "DIVERGED" not in text
-        assert digest_line in text
-
-    def test_serve_kill_shard_requires_shards(self):
-        code, _ = _run(
-            ["serve", "--unit", "alu", "--kill-shard", "0"]
+        assert "service drained" in out.getvalue()
+        assert len(scraped) == 1
+        lines = scraped[0].splitlines()
+        assert "# TYPE repro_scheduler_results_total counter" in lines
+        assert any(
+            line.startswith("repro_scheduler_results_total ")
+            for line in lines
         )
-        assert code == 2
 
     def test_unknown_policy_rejected(self):
         code, _ = _run(

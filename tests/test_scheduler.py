@@ -2,6 +2,7 @@
 
 import asyncio
 import dataclasses
+import json
 
 import pytest
 
@@ -33,6 +34,8 @@ from repro.scheduler import (
 from repro.scheduler.belief import BROAD_CLASS, ArmSpec
 from repro.scheduler.policy import PlanRequest
 from repro.sta.timing import TimingViolation
+
+from oracles import fold_event_stream
 
 MODELS = [
     FailureModel("a_q_r0", "res_q_r31", ViolationKind.SETUP, CMode.ZERO),
@@ -244,22 +247,23 @@ class TestPolicies:
 # ---------------------------------------------------------------------
 # Service mechanics (no fleet execution needed)
 # ---------------------------------------------------------------------
-class TestServiceMechanics:
-    def _service(self, queue=2):
-        fleet = _fleet()
-        belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
-        arms = [ArmSpec("a", "case", _classes()[0], 10, 0)]
-        sched = dataclasses.replace(SCHED, ingest_queue=queue)
-        return DetectionService(
-            belief=belief,
-            arms=arms,
-            policy=make_policy("sequential"),
-            config=sched,
-            log=EventLog(run_id="test"),
-        ), fleet
+def _service(queue=2):
+    fleet = _fleet()
+    belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
+    arms = [ArmSpec("a", "case", _classes()[0], 10, 0)]
+    sched = dataclasses.replace(SCHED, ingest_queue=queue)
+    return DetectionService(
+        belief=belief,
+        arms=arms,
+        policy=make_policy("sequential"),
+        config=sched,
+        log=EventLog(run_id="test"),
+    ), fleet
 
+
+class TestServiceMechanics:
     def test_full_ingest_queue_raises_retry_after(self):
-        service, fleet = self._service(queue=2)
+        service, fleet = _service(queue=2)
 
         async def drive():
             for k in range(2):
@@ -293,7 +297,7 @@ class TestServiceMechanics:
     def test_retry_after_scales_with_queue_occupancy(self):
         # Regression: the hint used to be a constant 1, so every
         # client of a saturated service retried on the very next pass.
-        service, fleet = self._service(queue=12)
+        service, fleet = _service(queue=12)
 
         def event(k):
             dev = fleet[k % len(fleet)]
@@ -325,7 +329,7 @@ class TestServiceMechanics:
 
     def test_fuller_service_advertises_longer_backoff(self):
         def saturate(queue):
-            service, fleet = self._service(queue=queue)
+            service, fleet = _service(queue=queue)
 
             async def drive():
                 for k in range(queue):
@@ -359,7 +363,7 @@ class TestServiceMechanics:
         assert saturate(12) > saturate(4) >= 1
 
     def test_checkpoint_state_roundtrips_belief(self):
-        service, fleet = self._service()
+        service, fleet = _service()
         arm = service.arms[0]
         service.belief.record_outcome(
             fleet[0].device_id, arm, True, 10, detected_by="a"
@@ -517,3 +521,154 @@ class TestScheduleSession:
         with tele_mod.use(tele):
             make_session(alu_netlist, vega_library).run()
         assert tele.counters.get("scheduler.outcome_memo_hits", 0) > 0
+
+    @pytest.mark.parametrize("policy", ["sequential", "greedy", "thompson"])
+    def test_event_log_fold_reproduces_belief(
+        self, alu_netlist, vega_library, policy
+    ):
+        """The serve log alone determines the belief: folding its
+        dispatch/result records into a fresh belief lands on the live
+        service's digest."""
+        from repro.campaign.engine import DeviceRunner
+
+        config = dataclasses.replace(CONFIG, devices=16)
+        sched = dataclasses.replace(SCHED, policy=policy)
+        outcome = make_session(
+            alu_netlist, vega_library, config=config, sched=sched
+        ).run()
+        runner = DeviceRunner(alu_netlist, "alu", config, vega_library)
+        records = [
+            json.loads(line) for line in outcome.log.to_jsonl().splitlines()
+        ]
+        folded = fold_event_stream(
+            outcome.fleet,
+            _classes(),
+            sched,
+            build_arms(vega_library, runner),
+            records,
+        )
+        assert folded.digest() == outcome.belief.digest()
+
+
+# ---------------------------------------------------------------------
+# Service bookkeeping: retry hints, drain accounting
+# ---------------------------------------------------------------------
+class TestRetryHintInFlight:
+    def test_hint_accounts_for_outstanding_batch(self):
+        service, fleet = _service()
+        batch = SCHED.batch_size
+        # Saturate the buffer and put a full batch in flight.
+        service._buffer = [object()] * batch
+        service._outstanding = {
+            spec.device_id: None for spec in fleet[:batch]
+        }
+        hint = service._retry_hint()
+        # One pass to drain the backlog + one for the in-flight batch.
+        assert hint == 2
+        # The old hint ignored the in-flight batch entirely: with the
+        # window at zero it said 1 — an immediate re-collision.
+        service._window = 0
+        assert hint > 1
+
+    def test_hint_monotone_in_outstanding_depth(self):
+        service, fleet = _service()
+        service._buffer = [object()] * 4
+        hints = []
+        for depth in (0, 4, 8):
+            service._outstanding = {
+                spec.device_id: None for spec in fleet[:depth]
+            }
+            service._window = SCHED.batch_window  # window exhausted
+            hints.append(service._retry_hint())
+        assert hints == sorted(hints)
+        assert hints[-1] > hints[0]
+
+    def test_hint_keeps_window_deadline_when_idle(self):
+        service, _ = _service()
+        service._buffer = [object()] * 2
+        service._outstanding = {}
+        service._window = 1
+        # ceil(2/4) backlog + (3 - 1) window remainder
+        assert service._retry_hint() == 1 + (SCHED.batch_window - 1)
+
+
+class TestDrainRetireSymmetry:
+    def test_drain_path_logs_retire_like_planner(self):
+        service, fleet = _service()
+        service.request_shutdown()
+        dispatch = asyncio.run(
+            service.request_plan(fleet[0].device_id, fleet[0].index)
+        )
+        assert dispatch is None
+        retires = [
+            r
+            for r in service.log.records
+            if r.get("name") == "retire"
+        ]
+        assert len(retires) == 1
+        assert retires[0]["attrs"]["device"] == fleet[0].device_id
+        assert retires[0]["attrs"]["detected"] is False
+
+    def test_stopped_service_does_not_log(self):
+        service, fleet = _service()
+        service._stopped = True
+        assert (
+            asyncio.run(
+                service.request_plan(fleet[0].device_id, fleet[0].index)
+            )
+            is None
+        )
+        assert not any(
+            r.get("name") == "retire" for r in service.log.records
+        )
+
+    def test_dispatch_arm_helper_is_gone(self):
+        assert not hasattr(DetectionService, "dispatch_arm")
+
+
+# ---------------------------------------------------------------------
+# Partition / merge exactness
+# ---------------------------------------------------------------------
+class TestPartitionMerge:
+    def _evolved_belief(self):
+        fleet = _fleet()
+        classes = _classes()
+        belief = FleetBelief(fleet, classes, cycle_budget=10_000)
+        arms = [
+            ArmSpec(f"case:t{i}", "case", classes[i % 3], 40, i)
+            for i in range(4)
+        ]
+        for i, spec in enumerate(fleet):
+            for j, arm in enumerate(arms):
+                belief.record_dispatch(spec.device_id, arm)
+                belief.record_outcome(
+                    spec.device_id, arm, (i + j) % 3 == 0, 40
+                )
+        return belief
+
+    def test_merge_of_partition_reproduces_digest(self):
+        belief = self._evolved_belief()
+        for ranges in ([(0, 8)], [(0, 4), (4, 8)],
+                       [(0, 3), (3, 5), (5, 8)]):
+            shards = belief.partition(ranges)
+            merged = FleetBelief.merge(shards)
+            assert merged.digest() == belief.digest()
+            assert merged.to_json() == belief.to_json()
+
+    def test_partition_requires_exact_tiling(self):
+        belief = self._evolved_belief()
+        with pytest.raises(ValueError, match="tile"):
+            belief.partition([(0, 4)])
+
+    def test_merge_rejects_overlapping_shards(self):
+        belief = self._evolved_belief()
+        shards = belief.partition([(0, 4), (4, 8)])
+        with pytest.raises(ValueError, match="two shards"):
+            FleetBelief.merge([shards[0], shards[0]])
+
+    def test_merge_rejects_mismatched_config(self):
+        belief = self._evolved_belief()
+        shards = belief.partition([(0, 4), (4, 8)])
+        shards[1].fleet_blend = 0.9
+        with pytest.raises(ValueError, match="disagree"):
+            FleetBelief.merge(shards)

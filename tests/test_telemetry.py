@@ -1,19 +1,26 @@
 """Unit tests for the telemetry subsystem (spans, counters, traces)."""
 
 import json
+import multiprocessing
+import os
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.core import telemetry
 from repro.core.telemetry import (
     TRACE_SCHEMA,
+    MetricsServer,
     Telemetry,
     TraceError,
     dump_trace,
     parse_trace,
     read_trace,
+    render_prometheus,
     summarize_trace,
 )
+from repro.scheduler import EventLog
 
 
 class TestCounters:
@@ -175,3 +182,108 @@ class TestSummarize:
         tele = Telemetry()
         tele.add("c")
         assert tele.summary_markdown() == summarize_trace(tele.trace_records())
+
+
+class TestWriteJsonlConcurrency:
+    def test_tmp_name_carries_pid(self, tmp_path, monkeypatch):
+        # The published file must come from a pid-unique tmp: spy on
+        # os.replace to capture the tmp name actually used.
+        log = EventLog(run_id="r1")
+        log.event("result", 1, device="d0")
+        seen = {}
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen["src"] = src
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        target = tmp_path / "log.jsonl"
+        log.write_jsonl(str(target))
+        assert seen["src"] == f"{target}.tmp.{os.getpid()}"
+        assert target.read_text() == log.to_jsonl()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="concurrent writers need os.fork"
+    )
+    def test_concurrent_writers_never_clobber(self, tmp_path):
+        # Two processes hammering the same log path: with a shared
+        # f"{path}.tmp" one writer's os.replace steals the other's tmp
+        # file and the loser crashes with FileNotFoundError.  The
+        # pid-suffixed tmp makes every publish self-contained.
+        target = tmp_path / "shared.jsonl"
+
+        def writer(tag: str) -> None:
+            log = EventLog(run_id=f"writer-{tag}")
+            for tick in range(50):
+                log.event("result", tick, device=f"{tag}-{tick}")
+                log.write_jsonl(str(target))
+
+        ctx = multiprocessing.get_context("fork")
+        procs = [
+            ctx.Process(target=writer, args=(tag,)) for tag in ("a", "b")
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert all(proc.exitcode == 0 for proc in procs)
+        # Whoever won, the published file is a complete log.
+        lines = target.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert records[0]["type"] == "meta"
+        assert records[-1]["type"] == "counters"
+
+    def test_telemetry_write_jsonl_uses_pid_tmp(self, tmp_path,
+                                                monkeypatch):
+        instance = telemetry.Telemetry(run_id="t1")
+        instance.add("x", 1)
+        seen = {}
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen["src"] = src
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        target = tmp_path / "trace.jsonl"
+        instance.write_jsonl(str(target))
+        assert seen["src"] == f"{target}.tmp.{os.getpid()}"
+
+
+class TestPrometheusExport:
+    def test_render_counters(self):
+        text = render_prometheus(
+            {"scheduler.ingest_accepted": 24, "scheduler.dispatches": 7}
+        )
+        lines = text.splitlines()
+        assert "# TYPE repro_scheduler_dispatches_total counter" in lines
+        assert "repro_scheduler_dispatches_total 7" in lines
+        assert "repro_scheduler_ingest_accepted_total 24" in lines
+        # Names render sorted, so snapshots are deterministic.
+        assert lines.index("repro_scheduler_dispatches_total 7") < (
+            lines.index("repro_scheduler_ingest_accepted_total 24")
+        )
+
+    def test_render_active_reads_installed_telemetry(self):
+        assert telemetry.render_active() == "\n"
+        tele = Telemetry(run_id="scrape")
+        tele.add("scheduler.results", 3)
+        with telemetry.use(tele):
+            text = telemetry.render_active()
+        assert "repro_scheduler_results_total 3" in text.splitlines()
+
+    def test_metrics_server_serves_snapshot(self):
+        server = MetricsServer(
+            lambda: "repro_test_metric 1\n", port=0
+        ).start()
+        try:
+            url = f"http://127.0.0.1:{server.port}/metrics"
+            body = urllib.request.urlopen(url, timeout=5).read()
+            assert body == b"repro_test_metric 1\n"
+            with pytest.raises(urllib.error.HTTPError):
+                urllib.request.urlopen(
+                    f"http://127.0.0.1:{server.port}/nope", timeout=5
+                )
+        finally:
+            server.stop()
