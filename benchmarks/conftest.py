@@ -21,9 +21,13 @@ Generated tables land in ``benchmarks/results/`` so EXPERIMENTS.md can
 reference them; both writes are atomic (temp file + rename, parent
 directories created) so an interrupted run never leaves partial
 artifacts.
+
+Speedup benchmarks time the reference paths in ``tests/oracles.py``,
+so ``tests/`` goes on ``sys.path``.
 """
 
 import pathlib
+import sys
 
 import pytest
 
@@ -32,6 +36,7 @@ from repro.core.experiments import default_context
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 
 @pytest.fixture(scope="session")

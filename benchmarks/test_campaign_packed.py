@@ -9,8 +9,9 @@ lockstep tail co-simulation).  The serial engine pays one full
 co-simulation per (device, suite) instead.
 
 This benchmark runs one 64-device fleet through three paths — the
-naive per-device loop, the campaign engine with packing disabled, and
-the engine with packing on — asserts the reports are byte-identical,
+naive per-device loop, the campaign engine with packing disabled (the
+``unpacked_campaign`` oracle of ``tests/oracles.py``), and the engine
+with packing on — asserts the reports are byte-identical,
 and records devices/sec.  Acceptance (non-smoke): packed is at least
 5x the naive loop and at least 2x the unpacked serial engine.
 
@@ -20,6 +21,7 @@ exercise every path in seconds.
 
 import os
 import time
+from contextlib import nullcontext
 
 from repro.baselines.random_tests import random_suite
 from repro.baselines.silifuzz_lite import SiliFuzzLite
@@ -29,6 +31,8 @@ from repro.core.rng import stream_seed
 from repro.cpu.cosim import GateAluBackend
 from repro.integration.library_gen import AgingLibrary
 from repro.lifting.instrument import make_failing_netlist
+
+from oracles import unpacked_campaign
 
 SMOKE = os.environ.get("VEGA_SMOKE") == "1"
 DEVICES = 8 if SMOKE else 64
@@ -48,7 +52,7 @@ def _timed(fn, repeats=REPEATS):
     return best, result
 
 
-def _config(packed):
+def _config():
     return CampaignConfig(
         devices=DEVICES,
         seed=2024,
@@ -56,7 +60,6 @@ def _config(packed):
         workers=1,
         silifuzz_snapshots=3,
         base_onset_years=6.0,
-        packed=packed,
     )
 
 
@@ -108,9 +111,10 @@ def _engine_fleet(ctx, packed):
         "alu",
         ctx.alu.suite(False),
         ctx.alu.failure_models(),
-        _config(packed),
+        _config(),
     )
-    return engine.run()
+    with nullcontext() if packed else unpacked_campaign():
+        return engine.run()
 
 
 def _engine_verdicts(report):
@@ -124,7 +128,7 @@ def _engine_verdicts(report):
 
 
 def test_campaign_packed(ctx, benchmark, recorder):
-    config = _config(True)
+    config = _config()
     models = ctx.alu.failure_models()
     fleet = sample_fleet(config, models, config.base_onset_years)
     _engine_fleet(ctx, True)  # warm compile / assembly / netlist caches

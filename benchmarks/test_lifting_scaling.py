@@ -9,6 +9,7 @@ literals, so learned clauses and the VSIDS ordering survive across
 depths.  Endpoint pairs are additionally sharded across ``fork``
 workers (one per CPU) with deterministic result ordering.
 
+The seed engine is the ``fresh_bmc`` oracle of ``tests/oracles.py``.
 This benchmark runs the ALU workflow's lifting phase under all three
 engines on a hard configuration (mitigation variants, deep bound),
 checks the reports are identical, and records the wall-time/conflict
@@ -18,9 +19,12 @@ the seed-style serial engine.
 
 import os
 import time
+from contextlib import nullcontext
 
 from repro.core.config import ErrorLiftingConfig
 from repro.lifting.lifter import ErrorLifter
+
+from oracles import fresh_bmc
 
 #: Deep bound + mitigation variants: the regime where rebuild-per-depth
 #: hurts most (UR proofs re-encode a quadratic number of frames).
@@ -32,11 +36,11 @@ def _lift(unit, incremental, workers):
     config = ErrorLiftingConfig(
         enable_mitigation=True,
         bmc_depth=BMC_DEPTH,
-        incremental_bmc=incremental,
         workers=workers,
     )
     lifter = ErrorLifter(unit.netlist, config, unit.mapper)
-    return lifter.lift(unit.sta_result.report)
+    with nullcontext() if incremental else fresh_bmc():
+        return lifter.lift(unit.sta_result.report)
 
 
 def _timed(unit, incremental, workers):

@@ -8,12 +8,13 @@ arrival times over numpy level vectors, and memoizes both artifacts in
 a content-addressed cache.
 
 This benchmark runs the full Aging Analysis (SP profiling + aged STA)
-on the ALU under the seed-style path and the new engines, checks the
-SP profiles and violating-path sets are identical, and records the
-wall-time table.  Acceptance: packed-parallel profiling + vectorized
-STA is at least 2x faster than the seed-serial path (the observed gap
-is orders of magnitude; 2x is the floor the cache can never hide
-because the first run always simulates).
+on the ALU under the seed-style path (the scalar profiling and
+dict-walk STA oracles of ``tests/oracles.py``) and the new engines,
+checks the SP profiles and violating-path sets are identical, and
+records the wall-time table.  Acceptance: packed-parallel profiling +
+vectorized STA is at least 2x faster than the seed-serial path (the
+observed gap is orders of magnitude; 2x is the floor the cache can
+never hide because the first run always simulates).
 
 ``VEGA_SMOKE=1`` shrinks the operand budget and relaxes the threshold
 so CI can exercise every path in seconds.
@@ -27,12 +28,11 @@ from repro.core.artifacts import ArtifactCache  # noqa: F401  (re-export check)
 from repro.core.config import VegaConfig
 from repro.core.workflow import VegaWorkflow
 from repro.sim.gatesim import GateSimulator
-from repro.sim.parallel_profile import (
-    profile_operand_stream_parallel,
-    profile_operand_stream_reference,
-)
+from repro.sim.parallel_profile import profile_operand_stream_parallel
 from repro.sim.probes import profile_operand_stream
 from repro.sta.aging_sta import AgingAwareSta
+
+from oracles import profile_operand_stream_reference, reference_sta
 
 SMOKE = os.environ.get("VEGA_SMOKE") == "1"
 #: The scalar baseline simulates ~3 cycles per operand at ~1300 cells;
@@ -49,7 +49,6 @@ def _analyze(ctx, profile):
         ctx.timing_lib,
         config=ctx.config.aging,
         gated_instances=unit.gated_instances(),
-        vectorized=True,
     )
     return sta.analyze(profile)
 
@@ -63,9 +62,9 @@ def _seed_serial(ctx, stream):
         ctx.timing_lib,
         config=ctx.config.aging,
         gated_instances=unit.gated_instances(),
-        vectorized=False,
     )
-    return profile, sta.analyze(profile)
+    with reference_sta():
+        return profile, sta.analyze(profile)
 
 
 def _packed(ctx, stream):

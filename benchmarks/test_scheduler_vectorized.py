@@ -1,9 +1,10 @@
 """Vectorized scheduler scoring — numpy planning vs the scalar path.
 
 One planning tick asks the policy to rank every arm for every
-requesting device.  The scalar reference rebuilds per-device candidate
-lists and walks dict posteriors; the vectorized path scores the whole
-(devices x arms) matrix over the belief's numpy mirror.  Both produce
+requesting device.  The scalar reference (``plan_reference`` in
+``tests/oracles.py``) rebuilds per-device candidate lists and walks
+dict posteriors; the vectorized path scores the whole (devices x arms)
+matrix over the belief's numpy mirror.  Both produce
 byte-identical schedules (pinned by ``tests/test_vectorized_scheduler``
 and re-asserted here); this benchmark measures the throughput gap at
 fleet scale.
@@ -26,6 +27,8 @@ import time
 from repro.campaign.fleet import DeviceSpec
 from repro.scheduler.belief import ArmSpec, FleetBelief
 from repro.scheduler.policy import PlanRequest, make_policy
+
+from oracles import plan_reference
 
 SMOKE = os.environ.get("VEGA_SMOKE") == "1"
 DEVICES = 128 if SMOKE else 1024
@@ -112,7 +115,7 @@ def test_scheduler_vectorized(ctx, benchmark, recorder):
             lambda: policy.plan(belief, arms, requests, 1)
         )
         ref_time, ref_schedule = _timed(
-            lambda: policy.plan_reference(belief, arms, requests, 1)
+            lambda: plan_reference(policy, belief, arms, requests, 1)
         )
         assert vec_schedule.dispatches == ref_schedule.dispatches
         assert vec_schedule.retired == ref_schedule.retired

@@ -316,8 +316,12 @@ class DeviceRunner:
             )
         return result
 
-    def _run_suite(self, suite: str, spec: DeviceSpec) -> SuiteOutcome:
-        backends = self.backends(spec)
+    def _run_suite(
+        self, suite: str, spec: DeviceSpec, backends: Optional[dict] = None
+    ) -> SuiteOutcome:
+        """One suite against one device, on ``backends`` if given."""
+        if backends is None:
+            backends = self.backends(spec)
         if suite in ("vega", "random"):
             library = self.library if suite == "vega" else self.random_library
             result = library.run_suite(
@@ -585,14 +589,11 @@ class CampaignEngine:
             runner = DeviceRunner(
                 self.netlist, self.unit, config, self.library
             )
-            if config.packed and pending:
-                # Resolve outcome keys in packed multi-model groups
-                # *before* shard dispatch: the parent-side memo crosses
-                # shard boundaries (pack width is not capped by
-                # shard_size) and is inherited by fork workers.
-                runner.prefilter(
-                    [spec for _, shard in pending for spec in shard]
-                )
+            # Resolve outcome keys in packed multi-model groups *before*
+            # shard dispatch: the parent-side memo crosses shard
+            # boundaries (pack width is not capped by shard_size) and is
+            # inherited by fork workers.
+            runner.prefilter([spec for _, shard in pending for spec in shard])
             for index, results in self._execute(runner, pending, key):
                 results_by_shard[index] = results
                 self.executed_shards.append(index)

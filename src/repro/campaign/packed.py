@@ -479,46 +479,10 @@ class PackedPrefilter:
     def _resolve_diverged(
         self, suite: str, trace: GoldenTrace, results: List[int], spec
     ):
-        from .engine import SuiteOutcome
-
         runner = self.runner
         backends = {runner.unit: ReplayBackend(trace.ops, results)}
         try:
-            if suite in ("vega", "random"):
-                library = (
-                    runner.library
-                    if suite == "vega"
-                    else runner.random_library
-                )
-                result = library.run_suite(
-                    strategy=runner.config.strategy,
-                    max_instructions=runner.config.max_suite_instructions,
-                    **backends,
-                )
-                if result.stalled:
-                    telemetry.add("campaign.stalls")
-                outcome = SuiteOutcome(
-                    suite=suite,
-                    detected=result.detected,
-                    stalled=result.stalled,
-                    cycles=result.cycles,
-                    detected_by=result.detected_by,
-                )
-            else:
-                verdict = runner._fuzz.detects(
-                    runner.snapshots,
-                    programs=runner.snapshot_programs,
-                    **backends,
-                )
-                if verdict["stalled"]:
-                    telemetry.add("campaign.stalls")
-                outcome = SuiteOutcome(
-                    suite=suite,
-                    detected=bool(verdict["detected"]),
-                    stalled=bool(verdict["stalled"]),
-                    cycles=int(verdict["cycles"]),
-                    detected_by=verdict["by"],
-                )
+            outcome = runner._run_suite(suite, spec, backends)
         except ReplayMismatch:
             # The faulty run's op stream left the golden prefix: only
             # the exact gate co-simulation knows what happens next.

@@ -142,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".vega-cache",
         help="artifact cache root (default: .vega-cache)",
     )
-    p.add_argument(
-        "--reference-sta", action="store_true",
-        help="use the dict-walking reference STA instead of the "
-             "vectorized engine (for A/B comparison)",
-    )
 
     p = sub.add_parser("sta", help="aging analysis (phase 1)")
     _add_unit(p)
@@ -226,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(reports are bit-identical for any worker count)")
     p.add_argument("--shard-size", type=int, default=4,
                    help="devices per shard (the checkpoint/resume unit)")
-    p.add_argument("--no-packed", action="store_true",
-                   help="disable the packed multi-model prefilter and "
-                        "co-simulate every failure model serially "
-                        "(results are bit-identical either way)")
     p.add_argument("--pack-width", type=int, default=64,
                    help="max failure-model bit-planes per packed "
                         "gate-sim group (default: 64)")
@@ -610,10 +601,7 @@ def cmd_profile(args, out) -> int:
     ctx = default_context()
     unit = ctx.unit(args.unit)
     config = VegaConfig(
-        aging=AgingAnalysisConfig(
-            profile_workers=args.workers,
-            sta_vectorized=not args.reference_sta,
-        ),
+        aging=AgingAnalysisConfig(profile_workers=args.workers),
         cache_dir=None if args.no_cache else args.cache_dir,
     )
     workflow = VegaWorkflow(config)
@@ -629,8 +617,7 @@ def cmd_profile(args, out) -> int:
           file=out)
     print(f"profiled {profile.samples} samples "
           f"({len(profile.sp)} nets) in {elapsed:.3f}s "
-          f"[workers={args.workers}, "
-          f"sta={'reference' if args.reference_sta else 'vectorized'}]",
+          f"[workers={args.workers}]",
           file=out)
     print(f"derived period: {result.period_ns:.3f} ns", file=out)
     print(f"aged violations: {len(result.report.violations)} "
@@ -826,7 +813,6 @@ def cmd_campaign(args, out) -> int:
         suites=suites,
         strategy=args.strategy,
         base_onset_years=args.onset_years,
-        packed=not args.no_packed,
         pack_width=args.pack_width,
     )
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
@@ -921,7 +907,7 @@ def _surrogate_dataset(args, unit, tele, out):
     return config, dataset
 
 
-def _load_surrogate_model(path, verb):
+def _load_surrogate(path, verb):
     from .surrogate import RidgeSurrogate
 
     try:
@@ -964,7 +950,7 @@ def cmd_surrogate(args, out) -> int:
     if args.surrogate_command == "validate":
         from .surrogate import validate_model
 
-        model = _load_surrogate_model(args.model, "validate")
+        model = _load_surrogate(args.model, "validate")
         if model is None:
             return 2
         config, dataset = _surrogate_dataset(args, unit, tele, out)
@@ -987,7 +973,7 @@ def cmd_surrogate(args, out) -> int:
     from .netlist.cells import VEGA28
     from .surrogate import profiled_fleet, run_surrogate_campaign
 
-    model = _load_surrogate_model(args.model, "triage")
+    model = _load_surrogate(args.model, "triage")
     if model is None:
         return 2
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())

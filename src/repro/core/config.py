@@ -42,10 +42,6 @@ class AgingAnalysisConfig:
             and platforms without ``fork`` fall back to serial.
         profile_lanes: Packed (bit-parallel) stimulus vectors per
             simulated word during SP profiling.
-        sta_vectorized: Use the numpy levelized arrival propagation in
-            the STA.  Arrival times are bit-identical to the dict-based
-            reference (kept behind ``vectorized=False`` for equivalence
-            testing); this flag exists for A/B benchmarking.
     """
 
     lifetime_years: float = 10.0
@@ -55,7 +51,6 @@ class AgingAnalysisConfig:
     clock_gating_sp: float = 0.02
     profile_workers: int = 1
     profile_lanes: int = 256
-    sta_vectorized: bool = True
 
 
 @dataclass
@@ -76,11 +71,6 @@ class ErrorLiftingConfig:
             0 means one worker per CPU; platforms without ``fork``
             silently fall back to serial.  Results are deterministic
             regardless of the worker count.
-        incremental_bmc: Use the incremental BMC engine (one persistent
-            solver, cover gated behind assumption literals) instead of
-            rebuilding a fresh solver per unroll depth.  Verdicts and
-            traces are identical either way; the fresh path exists for
-            equivalence testing and benchmarking.
         keep_going: Degrade gracefully when lifting a single endpoint
             pair raises: the pair is recorded as a ``PairResult`` with
             its ``error`` set (FF in the Table 4 accounting, plus a
@@ -94,7 +84,6 @@ class ErrorLiftingConfig:
     bmc_conflict_budget: int = 200_000
     constants: Tuple[int, ...] = (0, 1)
     workers: int = 1
-    incremental_bmc: bool = True
     keep_going: bool = True
 
 
@@ -167,11 +156,11 @@ class CampaignConfig:
             (``None``: match the vega library, as Table 7 does).
         silifuzz_snapshots: Corpus size for the SiliFuzz-style baseline.
         max_suite_instructions: Instruction budget per suite execution.
-        packed: Batch distinct failure models into packed multi-model
-            gate-sim passes (one shadow-mux bit-plane per model) before
-            shard dispatch.  Results are byte-identical either way, so
-            — like ``workers`` — this never enters the campaign key.
-        pack_width: Maximum bit-planes per packed group.
+        pack_width: Maximum bit-planes per packed multi-model gate-sim
+            group.  Distinct failure models are resolved in these
+            groups (one shadow-mux bit-plane per model) before shard
+            dispatch; reports are byte-identical for any width, so —
+            like ``workers`` — it never enters the campaign key.
     """
 
     devices: int = 12
@@ -187,20 +176,7 @@ class CampaignConfig:
     random_suite_size: Optional[int] = None
     silifuzz_snapshots: int = 6
     max_suite_instructions: int = 500_000
-    #: Resolve distinct failure models in packed multi-model gate-sim
-    #: groups before shard dispatch (byte-identical to the serial path
-    #: for any pack width, so neither knob enters the campaign key).
-    packed: bool = True
     pack_width: int = 64
-    #: Surrogate-triage mode (``repro.surrogate.triage``): score every
-    #: sampled device with the trained aging surrogate and hand only
-    #: the predicted-risky tail to the exact per-device pipeline.  The
-    #: tail is re-verified exactly, so flagged devices' report rows are
-    #: byte-identical to the all-exact profiled campaign.
-    surrogate_triage: bool = False
-    #: Path of the trained surrogate snapshot the triage mode loads
-    #: (``None``: the caller passes a model object directly).
-    surrogate_model: Optional[str] = None
     #: Fraction of the fleet whose dominant wearout mechanism is
     #: hot-carrier injection (:mod:`repro.aging.hci`) instead of BTI.
     #: The mechanism draw uses its own ``campaign.mechanism`` RNG

@@ -141,10 +141,9 @@ class VegaWorkflow:
         """SP profiling + aging-aware STA; returns ``(profile, result)``.
 
         Profiling shards the workload across ``config.aging.profile_workers``
-        fork processes (override per call with ``workers``) and the STA
-        runs the vectorized engine when ``config.aging.sta_vectorized``.
-        With ``config.cache_dir`` set, the SP profile and aged delay
-        model are content-addressed — keyed by the netlist's structural
+        fork processes (override per call with ``workers``).  With
+        ``config.cache_dir`` set, the SP profile and aged delay model
+        are content-addressed — keyed by the netlist's structural
         hash, the workload (``workload_id`` plus stream content digest),
         cycle count, aging parameters, and corner — so a repeated call
         with unchanged inputs simulates nothing.
@@ -185,7 +184,6 @@ class VegaWorkflow:
             None,  # timing library characterized lazily on cache miss
             config=aging,
             gated_instances=gated_instances,
-            vectorized=aging.sta_vectorized,
         )
         aged_model = None
         increase = None
@@ -325,7 +323,6 @@ class VegaWorkflow:
                 lifting.bmc_depth,
                 lifting.bmc_conflict_budget,
                 list(lifting.constants),
-                lifting.incremental_bmc,
             ],
         )
         phase3 = ArtifactCache.digest(

@@ -176,16 +176,11 @@ class _FramePlan:
 class BoundedModelChecker:
     """Unrolls a netlist and solves cover queries against it.
 
-    Two solving strategies share one frame encoder:
-
-    * **incremental** (default): one persistent :class:`SatSolver`
-      receives one frame's CNF per depth; the per-frame cover selector
-      is asserted as a solve-time *assumption literal*, so learned
-      clauses, variable activities, and saved phases carry over from
-      depth ``d`` to ``d+1``.
-    * **fresh** (``incremental=False``): the original rebuild-per-depth
-      loop, kept as the reference the incremental engine is equivalence-
-      tested (and benchmarked) against.
+    Solving is incremental: one persistent :class:`SatSolver` receives
+    one frame's CNF per depth, and the per-frame cover selector is
+    asserted as a solve-time *assumption literal*, so learned clauses,
+    variable activities, and saved phases carry over from depth ``d``
+    to ``d+1``.
     """
 
     def __init__(
@@ -193,13 +188,11 @@ class BoundedModelChecker:
         netlist: Netlist,
         assumptions: Sequence[InputAssumption] = (),
         conflict_budget: int = 200_000,
-        incremental: bool = True,
     ):
         netlist.validate()
         self.netlist = netlist
         self.assumptions = list(assumptions)
         self.conflict_budget = conflict_budget
-        self.incremental = incremental
         self._plan_cache: Dict[Tuple[str, ...], _FramePlan] = {}
         for assumption in self.assumptions:
             if assumption.port not in netlist.ports:
@@ -241,8 +234,7 @@ class BoundedModelChecker:
         Appends the frame's net-to-var map to ``frames`` and its cover
         selector variable to ``objective_vars``.  The selector is only
         *implied* towards the conditions (``frame_obj -> conditions``):
-        asserting it positively — via a clause in the fresh path or an
-        assumption literal in the incremental path — forces the
+        asserting it positively (as an assumption literal) forces the
         objective at that cycle, while leaving it unconstrained keeps
         the frame's CNF satisfiable by any circuit behaviour.
         """
@@ -305,24 +297,15 @@ class BoundedModelChecker:
         objective: CoverObjective,
         max_depth: Optional[int] = None,
         observe: Sequence[str] = (),
-        incremental: Optional[bool] = None,
     ) -> BmcResult:
         """Find the shortest witness reaching the objective.
 
         Depths 1..max_depth are tried in order so the returned trace is
         minimal, matching the paper's emphasis on tiny test cases.
-        ``incremental`` overrides the checker-level strategy for this
-        query; both strategies return identical verdicts and trace
-        lengths (enforced by the equivalence test suite).
         """
-        if incremental is None:
-            incremental = self.incremental
         max_depth = max_depth or suggested_depth(self.netlist)
         plan = self._frame_plan(objective)
-        if incremental:
-            result = self._cover_incremental(objective, max_depth, observe, plan)
-        else:
-            result = self._cover_fresh(objective, max_depth, observe, plan)
+        result = self._cover_incremental(objective, max_depth, observe, plan)
         telemetry.add("bmc.queries")
         telemetry.add(f"bmc.{result.status.value}")
         telemetry.add("bmc.frames", result.depth_checked)
@@ -339,11 +322,11 @@ class BoundedModelChecker:
 
         Depth ``d`` adds frame ``d``'s CNF and solves under the single
         assumption "frame ``d``'s selector holds".  Earlier selectors
-        revert to unconstrained, so the query is exactly the fresh
-        path's "objective at the last frame" — but the solver keeps its
-        learned clauses and heuristic state between depths.  Each depth
-        receives a fresh ``conflict_budget`` on top of the cumulative
-        conflict count.
+        revert to unconstrained, so the query is exactly "objective at
+        the last frame" of a fresh ``d``-frame unrolling — but the
+        solver keeps its learned clauses and heuristic state between
+        depths.  Each depth receives a fresh ``conflict_budget`` on top
+        of the cumulative conflict count.
         """
         solver = SatSolver()
         frames: List[Dict[str, int]] = []
@@ -377,51 +360,6 @@ class BoundedModelChecker:
             BmcStatus.UNREACHABLE,
             depth_checked=max_depth,
             conflicts=solver.conflicts,
-        )
-
-    def _cover_fresh(
-        self,
-        objective: CoverObjective,
-        max_depth: int,
-        observe: Sequence[str],
-        plan: _FramePlan,
-    ) -> BmcResult:
-        """The seed engine: a fresh solver and full re-unroll per depth."""
-        total_conflicts = 0
-        for depth in range(1, max_depth + 1):
-            solver = SatSolver()
-            frames: List[Dict[str, int]] = []
-            obj_vars: List[int] = []
-            for _ in range(depth):
-                self._add_frame(solver, frames, obj_vars, objective, plan)
-            if not obj_vars:
-                raise ValueError("objective has no conditions")
-            # Require the objective exactly at the last frame (earlier
-            # frames were covered by earlier iterations).
-            solver.add_clause([obj_vars[-1]])
-            t0 = time.perf_counter()
-            result = solver.solve(conflict_limit=self.conflict_budget)
-            telemetry.add(f"bmc.solve_s.depth{depth}", time.perf_counter() - t0)
-            total_conflicts += result.conflicts
-            if result.status is SatStatus.UNKNOWN:
-                return BmcResult(
-                    BmcStatus.BUDGET_EXCEEDED,
-                    depth_checked=depth,
-                    conflicts=total_conflicts,
-                )
-            if result.status is SatStatus.SAT:
-                trace = self._extract(result.model, frames, observe)
-                trace.property_cycle = depth - 1
-                return BmcResult(
-                    BmcStatus.COVERED,
-                    trace=trace,
-                    depth_checked=depth,
-                    conflicts=total_conflicts,
-                )
-        return BmcResult(
-            BmcStatus.UNREACHABLE,
-            depth_checked=max_depth,
-            conflicts=total_conflicts,
         )
 
     def _extract(

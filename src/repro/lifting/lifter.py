@@ -190,7 +190,6 @@ class ErrorLifter:
             instrumentation.netlist,
             assumptions=assumptions,
             conflict_budget=self.config.bmc_conflict_budget,
-            incremental=self.config.incremental_bmc,
         )
         objective = CoverObjective(differ=instrumentation.output_pairs)
         observe = [

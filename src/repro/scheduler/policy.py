@@ -22,18 +22,18 @@ Three policies ship:
   elsewhere.
 
 :meth:`Policy.plan` ranks arms with numpy over the belief's array
-mirror — candidate masks and scores for a whole batch at once.  The
-scalar implementation survives as :meth:`Policy.plan_reference`; both
-produce identical schedules (the arrays copy the dict floats verbatim
-and the vectorized expressions apply the same IEEE operations in the
-same order, and Thompson still draws its betavariates one candidate at
-a time from the same named stream), which the equivalence tests pin.
+mirror — candidate masks and scores for a whole batch at once.  Its
+schedules are identical to a scalar per-device loop over the dict
+posteriors: the arrays copy the dict floats verbatim, the vectorized
+expressions apply the same IEEE operations in the same order, and
+Thompson still draws its betavariates one candidate at a time from the
+same named stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -82,21 +82,12 @@ class Schedule:
 
 
 class Policy:
-    """Base class; subclasses implement :meth:`choose`."""
+    """Base class; subclasses implement :meth:`_choose_columns`."""
 
     name = "policy"
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-
-    def choose(
-        self,
-        belief: FleetBelief,
-        candidates: Sequence[ArmSpec],
-        request: PlanRequest,
-        tick: int,
-    ) -> ArmSpec:
-        raise NotImplementedError
 
     def plan(
         self,
@@ -110,8 +101,7 @@ class Policy:
         Requests are processed in device-index order so the schedule —
         and everything downstream of it — is independent of arrival
         order inside the tick.  Candidate masks and arm ranking run
-        vectorized over the belief's array mirror; the schedule is
-        identical to :meth:`plan_reference`.
+        vectorized over the belief's array mirror.
         """
         schedule = Schedule(tick=tick, policy=self.name)
         ordered = sorted(requests, key=lambda r: r.device_index)
@@ -158,61 +148,18 @@ class Policy:
         valid: np.ndarray,
         tick: int,
     ) -> Sequence[int]:
-        """Catalogue column per request (-1: retire).  Base fallback
-        funnels each row's candidate set through :meth:`choose`, so
-        custom policies stay correct without a vectorized ranking."""
-        mirror = belief.arrays(arms)
-        columns: List[int] = []
-        for position, request in enumerate(ordered):
-            candidates = [
-                mirror.arms[col] for col in np.flatnonzero(valid[position])
-            ]
-            if not candidates:
-                columns.append(-1)
-                continue
-            arm = self.choose(belief, candidates, request, tick)
-            columns.append(mirror.arm_col[arm.name])
-        return columns
+        """Catalogue column per request (-1: retire).
 
-    def plan_reference(
-        self,
-        belief: FleetBelief,
-        arms: Sequence[ArmSpec],
-        requests: Sequence[PlanRequest],
-        tick: int,
-    ) -> Schedule:
-        """The scalar planning path (dict lookups, python loops).
-
-        Kept as the equivalence oracle for :meth:`plan` and for A/B
-        benchmarking — byte-identical schedules, no numpy involved.
+        ``rows`` holds the requests' belief-mirror rows and ``valid``
+        their (request x catalogue column) candidate mask.
         """
-        schedule = Schedule(tick=tick, policy=self.name)
-        for request in sorted(requests, key=lambda r: r.device_index):
-            candidates = belief.candidates(request.device_id, arms)
-            if not candidates:
-                schedule.retired.append(request.device_id)
-                continue
-            arm = self.choose(belief, candidates, request, tick)
-            schedule.dispatches.append(
-                Dispatch(
-                    device_id=request.device_id,
-                    device_index=request.device_index,
-                    arm=arm.name,
-                    kind=arm.kind,
-                    class_label=arm.class_label,
-                    cost_cycles=arm.cost_cycles,
-                )
-            )
-        return schedule
+        raise NotImplementedError
 
 
 class SequentialPolicy(Policy):
     """Static catalogue-order baseline (no belief consulted)."""
 
     name = "sequential"
-
-    def choose(self, belief, candidates, request, tick):
-        return min(candidates, key=lambda arm: arm.index)
 
     def _choose_columns(self, belief, arms, ordered, rows, valid, tick):
         # Catalogue columns are already sorted by arm index, so the
@@ -227,24 +174,14 @@ class GreedyPolicy(Policy):
 
     name = "greedy"
 
-    def choose(self, belief, candidates, request, tick):
-        return min(
-            candidates,
-            key=lambda arm: (
-                -belief.mean(request.device_id, arm.class_label)
-                / arm.cost_cycles,
-                arm.index,
-            ),
-        )
-
     def _choose_columns(self, belief, arms, ordered, rows, valid, tick):
         mirror = belief.arrays(arms)
         ab = belief.blended_matrix(arms, rows)
         mean = ab[..., 0] / (ab[..., 0] + ab[..., 1])
-        # Same float ops as the scalar path: negate the per-class mean,
-        # divide by integer cost.  ``argmin`` takes the first minimum,
-        # matching the scalar (score, arm.index) tie-break because the
-        # columns are in arm-index order.
+        # Same float ops as a scalar per-arm ranking: negate the
+        # per-class mean, divide by integer cost.  ``argmin`` takes the
+        # first minimum, matching a (score, arm.index) tie-break because
+        # the columns are in arm-index order.
         score = np.negative(mean[:, mirror.arm_class]) / mirror.cost[None, :]
         score[~valid] = np.inf
         columns = score.argmin(axis=1)
@@ -263,21 +200,6 @@ class ThompsonPolicy(Policy):
     """
 
     name = "thompson"
-
-    def choose(self, belief, candidates, request, tick):
-        rng = stream_rng(
-            "scheduler.thompson", self.seed, tick, request.device_index
-        )
-        best: Optional[ArmSpec] = None
-        best_value = float("-inf")
-        for arm in sorted(candidates, key=lambda a: a.index):
-            alpha, beta = belief.blended(request.device_id, arm.class_label)
-            draw = rng.betavariate(alpha, beta)
-            value = draw / arm.cost_cycles
-            if value > best_value:
-                best = arm
-                best_value = value
-        return best
 
     def _choose_columns(self, belief, arms, ordered, rows, valid, tick):
         # The blended posteriors come from the array mirror, but the

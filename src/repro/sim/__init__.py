@@ -9,7 +9,6 @@ from .gatesim import (
 )
 from .parallel_profile import (
     profile_operand_stream_parallel,
-    profile_operand_stream_reference,
     profile_workload_streams,
 )
 from .probes import (
@@ -34,7 +33,6 @@ __all__ = [
     "profile_activity",
     "profile_operand_stream",
     "profile_operand_stream_parallel",
-    "profile_operand_stream_reference",
     "profile_stimulus",
     "profile_workload_streams",
     "simulated_cycles",

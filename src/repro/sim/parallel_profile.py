@@ -245,31 +245,3 @@ def profile_operand_stream_parallel(
         workers=workers,
         chunk_batches=chunk_batches,
     )
-
-
-def profile_operand_stream_reference(
-    netlist: Netlist,
-    operands: Sequence[Mapping[str, int]],
-    drain_cycles: int = 2,
-) -> SPProfile:
-    """Seed-style serial scalar profiling — the equivalence oracle.
-
-    One operand per simulated cycle group (reset, then ``1 +
-    drain_cycles`` scalar steps, sampling each): exactly the per-lane
-    semantics of the packed run, so its counts — and therefore its SP
-    values — equal the packed/parallel engines' bit-for-bit.  Kept as
-    the benchmark baseline and for equivalence testing; it is orders of
-    magnitude slower than packed profiling.
-    """
-    if not operands:
-        raise ValueError("empty operand stream")
-    sim = GateSimulator(netlist)
-    counter = SPCounter(netlist)
-    port_names = [p.name for p in netlist.input_ports()]
-    for op in operands:
-        sim.reset()
-        frame = {name: op.get(name, 0) for name in port_names}
-        for _ in range(1 + drain_cycles):
-            sim.step(frame)
-            counter.sample(sim)
-    return counter.profile()

@@ -55,7 +55,6 @@ class AgingAwareSta:
         gated_instances: Optional[Mapping[str, float] | Sequence[str]] = None,
         clock_fanout_per_leaf: int = 8,
         clock_chain_length: int = 1,
-        vectorized: bool = True,
     ):
         # ``timing_lib`` may be None when every analyze() call supplies a
         # precomputed aged model (the artifact-cache hit path).
@@ -63,7 +62,6 @@ class AgingAwareSta:
         self.timing_lib = timing_lib
         self.config = config or AgingAnalysisConfig()
         self.corner = corner
-        self.vectorized = vectorized
         if gated_instances is None:
             gated: Dict[str, float] = {}
         elif isinstance(gated_instances, Mapping):
@@ -92,9 +90,7 @@ class AgingAwareSta:
         initially meet timing and only violate after 10 simulated years.
         """
         analyzer = StaticTimingAnalyzer(
-            self.netlist,
-            DelayModel.fresh(self.netlist, self.corner),
-            vectorized=self.vectorized,
+            self.netlist, DelayModel.fresh(self.netlist, self.corner)
         )
         # Insertion delay is common-mode for a balanced fresh tree and
         # does not change the critical delay.
@@ -150,7 +146,7 @@ class AgingAwareSta:
             fresh_model.clock_early = fresh_arrivals
             fresh_model.clock_late = fresh_arrivals
             fresh_report = StaticTimingAnalyzer(
-                self.netlist, fresh_model, vectorized=self.vectorized
+                self.netlist, fresh_model
             ).check(period, self.config.max_paths_per_endpoint)
 
         with telemetry.span("sta.aged", period_ns=round(period, 4)):
@@ -159,7 +155,7 @@ class AgingAwareSta:
             else:
                 increase = dict(delay_increase or {})
             aged_report = StaticTimingAnalyzer(
-                self.netlist, aged_model, vectorized=self.vectorized
+                self.netlist, aged_model
             ).check(period, self.config.max_paths_per_endpoint)
         telemetry.add("sta.analyses")
         telemetry.add(

@@ -220,24 +220,16 @@ def _level_graph(netlist: Netlist) -> _LevelGraph:
 class StaticTimingAnalyzer:
     """Arrival-time propagation and constraint checking for one netlist.
 
-    ``vectorized`` selects the numpy levelized propagation (default);
-    ``vectorized=False`` keeps the original per-gate dict walk as the
-    equivalence-tested reference.  Both produce bit-identical arrival
-    times: the vector path applies the same per-instance corner-scaled
-    delays (computed once, not per propagation step) and float64 max/add
-    are exact, so downstream checks and path sets cannot diverge.
+    Arrivals propagate over numpy level vectors.  They are bit-identical
+    to a per-gate dict walk in levelized order: the vector path applies
+    the same per-instance corner-scaled delays (computed once, not per
+    propagation step) and float64 max/add are exact, so downstream
+    checks and path sets cannot diverge.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        delays: DelayModel,
-        vectorized: bool = True,
-    ):
+    def __init__(self, netlist: Netlist, delays: DelayModel):
         self.netlist = netlist
         self.delays = delays
-        self.vectorized = vectorized
-        self._order = netlist.levelize()
         self._arrival_max: Dict[str, float] = {}
         self._arrival_min: Dict[str, float] = {}
         self._propagated = False
@@ -260,47 +252,14 @@ class StaticTimingAnalyzer:
         return None
 
     def propagate(self) -> None:
-        """Fill max/min arrival times for every net, in levelized order."""
-        if self.vectorized:
-            self._propagate_vectorized()
-            return
-        for net in self.netlist.nets.values():
-            if net.is_input:
-                # Unconstrained: transparent to max/min propagation.
-                self._arrival_max[net.name] = float("-inf")
-                self._arrival_min[net.name] = float("inf")
-                continue
-            late = self._source_arrivals(net, late=True)
-            if late is not None:
-                self._arrival_max[net.name] = late
-                self._arrival_min[net.name] = self._source_arrivals(
-                    net, late=False
-                )
-        for inst in self._order:
-            ins = inst.input_nets()
-            if not ins:
-                # TIE cells: constants never transition, so they must
-                # not create timing events.  -inf/+inf arrivals make
-                # them transparent to max/min propagation and endpoint
-                # checks alike.
-                self._arrival_max[inst.output_net.name] = float("-inf")
-                self._arrival_min[inst.output_net.name] = float("inf")
-                continue
-            in_max = max(self._arrival_max[n.name] for n in ins)
-            in_min = min(self._arrival_min[n.name] for n in ins)
-            self._arrival_max[inst.output_net.name] = in_max + self.delays.tmax(inst)
-            self._arrival_min[inst.output_net.name] = in_min + self.delays.tmin(inst)
-        self._propagated = True
-
-    def _propagate_vectorized(self) -> None:
-        """Numpy levelized propagation; fills the same arrival dicts.
+        """Fill max/min arrival times for every net, level by level.
 
         Per level: gather input arrivals through padded index arrays,
         reduce max/min down the fanin axis, add the per-instance
         corner-scaled delay vector, and scatter to the output slots.
         The pad slot (index ``n_nets``) stays −inf/+inf, which makes
-        narrow gates and TIE cells transparent exactly like the
-        reference's explicit handling.
+        narrow gates transparent, and TIE cells too: constants never
+        transition, so they must not create timing events.
         """
         graph = _level_graph(self.netlist)
         n = graph.n_nets

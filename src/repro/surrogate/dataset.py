@@ -236,13 +236,19 @@ def _init_dataset_worker(state: tuple) -> None:
     _WORKER_STATE = state
 
 
-def _label_chunk(indices: List[int]) -> List[Dict[str, Any]]:
+def _label_chunk(
+    indices: List[int],
+) -> Tuple[List[Dict[str, Any]], Dict[str, float]]:
     assert _WORKER_STATE is not None
     config, featurizer, oracle, base_sp = _WORKER_STATE
-    return [
+    tele = telemetry.active()
+    base = tele.snapshot() if tele is not None else {}
+    rows = [
         _label_row(index, config, featurizer, oracle, base_sp)
         for index in indices
     ]
+    deltas = tele.counter_deltas(base) if tele is not None else {}
+    return rows, deltas
 
 
 def dataset_key(
@@ -330,13 +336,14 @@ def generate_dataset(
                     for i in indices
                 ]
             else:
+                tele = telemetry.active()
+                rows = []
                 with pool:
                     # imap preserves chunk submission order.
-                    rows = [
-                        row
-                        for part in pool.imap(_label_chunk, chunks)
-                        for row in part
-                    ]
+                    for part, deltas in pool.imap(_label_chunk, chunks):
+                        rows.extend(part)
+                        if tele is not None:
+                            tele.merge_counters(deltas)
         else:
             rows = [
                 _label_row(i, config, featurizer, oracle, base_sp)

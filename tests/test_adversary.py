@@ -37,6 +37,8 @@ from repro.scheduler.belief import BROAD_CLASS, FleetBelief
 from repro.sim.parallel_profile import profile_workload_streams
 from repro.sta.timing import TimingViolation
 
+from oracles import unpacked_campaign
+
 PAIRS = [("a_q_r0", "res_q_r31")]
 
 MODELS = [
@@ -299,12 +301,9 @@ class TestAttackCampaign:
         self, alu_netlist, vega_library, fleets
     ):
         _, attack_fleet = fleets
-        packed = self._run(
-            alu_netlist, vega_library, attack_fleet, packed=True
-        )
-        serial = self._run(
-            alu_netlist, vega_library, attack_fleet, packed=False
-        )
+        packed = self._run(alu_netlist, vega_library, attack_fleet)
+        with unpacked_campaign():
+            serial = self._run(alu_netlist, vega_library, attack_fleet)
         assert packed.to_json() == serial.to_json()
 
     def test_worker_invariance(self, alu_netlist, vega_library, fleets):

@@ -2,11 +2,11 @@
 
 The incremental BMC engine (one persistent solver, per-depth cover
 objectives asserted through assumption literals) must be observationally
-identical to the seed's rebuild-per-depth engine: same verdict and same
-witness length for every cover query.  These tests drive both engines
-over randomly drawn failure models on the ALU and FPU shadow netlists,
-and check that sharding endpoint pairs across worker processes changes
-nothing about the lifting report.
+identical to the rebuild-per-depth oracle (``tests/oracles.py``): same
+verdict and same witness length for every cover query.  These tests drive
+both engines over randomly drawn failure models on the ALU and FPU
+shadow netlists, and check that sharding endpoint pairs across worker
+processes changes nothing about the lifting report.
 """
 
 import functools
@@ -24,6 +24,8 @@ from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
 from repro.lifting.parallel import fork_available, lift_pairs
 from repro.sta.timing import TimingViolation
+
+from oracles import cover_fresh, fresh_bmc
 
 
 def _dff_pairs(netlist, limit=8):
@@ -79,10 +81,9 @@ class TestIncrementalFreshEquivalence:
         objective = CoverObjective(differ=instr.output_pairs)
         observe = [net for pair in instr.output_pairs for net in pair]
 
-        fresh = BoundedModelChecker(instr.netlist, incremental=False).cover(
-            objective, max_depth=depth, observe=observe
-        )
-        incremental = BoundedModelChecker(instr.netlist, incremental=True).cover(
+        checker = BoundedModelChecker(instr.netlist)
+        fresh = cover_fresh(checker, objective, depth, observe)
+        incremental = checker.cover(
             objective, max_depth=depth, observe=observe
         )
 
@@ -173,10 +174,12 @@ class TestParallelLifting:
         assert _fingerprint(parallel.pairs) == _fingerprint(serial.pairs)
 
     def test_incremental_flag_does_not_change_reports(self, paper_adder):
+        """Lifting on the fresh-solver BMC oracle gives the same report."""
         from repro.sta.timing import StaReport
 
         report = StaReport(netlist_name="adder", period_ns=1.0)
         report.violations.extend(ADDER_VIOLATIONS)
-        incremental = self._lifter(paper_adder, incremental_bmc=True).lift(report)
-        fresh = self._lifter(paper_adder, incremental_bmc=False).lift(report)
+        incremental = self._lifter(paper_adder).lift(report)
+        with fresh_bmc():
+            fresh = self._lifter(paper_adder).lift(report)
         assert _fingerprint(incremental.pairs) == _fingerprint(fresh.pairs)

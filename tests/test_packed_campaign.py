@@ -3,7 +3,8 @@
 The packed path is an *optimization with an equality contract*: for any
 fleet, packing width, and worker count, the campaign must produce the
 same per-device outcomes and a byte-identical
-:class:`~repro.campaign.report.CampaignReport` as the serial engine.
+:class:`~repro.campaign.report.CampaignReport` as the serial engine
+(the ``unpacked_campaign`` oracle).
 These tests pin that contract on real lifted suites, plus the
 ``pack_vectors`` fast path against its reference transpose.
 """
@@ -24,6 +25,8 @@ from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
 from repro.sim.gatesim import pack_vectors, unpack_vectors
 from repro.sta.timing import TimingViolation
+
+from oracles import unpacked_campaign
 
 MODELS = [
     FailureModel("a_q_r0", "res_q_r31", ViolationKind.SETUP, CMode.ZERO),
@@ -103,42 +106,39 @@ class TestPackedEquivalence:
 
     @pytest.fixture(scope="class")
     def serial_report(self, alu_netlist, vega_library):
-        return run_campaign(alu_netlist, vega_library, packed=False)
+        with unpacked_campaign():
+            return run_campaign(alu_netlist, vega_library)
 
     @pytest.mark.parametrize("pack_width", [1, 2, 3, 64])
     def test_pack_width_invariance(
         self, alu_netlist, vega_library, serial_report, pack_width
     ):
-        packed = run_campaign(
-            alu_netlist, vega_library, packed=True, pack_width=pack_width
-        )
+        packed = run_campaign(alu_netlist, vega_library, pack_width=pack_width)
         assert packed.to_json() == serial_report.to_json()
 
     def test_worker_invariance(
         self, alu_netlist, vega_library, serial_report
     ):
-        packed = run_campaign(
-            alu_netlist, vega_library, packed=True, workers=2
-        )
+        packed = run_campaign(alu_netlist, vega_library, workers=2)
         assert packed.to_json() == serial_report.to_json()
 
     def test_per_device_rows_match(
         self, alu_netlist, vega_library, serial_report
     ):
         """Equality is per (device, suite) row, not just aggregate."""
-        packed = run_campaign(alu_netlist, vega_library, packed=True)
+        packed = run_campaign(alu_netlist, vega_library)
         assert packed.device_rows == serial_report.device_rows
 
     def test_packed_path_actually_engaged(self, alu_netlist, vega_library):
         tele = telemetry.Telemetry(run_id="packed-on")
         with telemetry.use(tele):
-            run_campaign(alu_netlist, vega_library, packed=True)
+            run_campaign(alu_netlist, vega_library)
         assert tele.counters.get("campaign.packed_golden", 0) > 0
 
     def test_packed_disabled_never_packs(self, alu_netlist, vega_library):
         tele = telemetry.Telemetry(run_id="packed-off")
-        with telemetry.use(tele):
-            run_campaign(alu_netlist, vega_library, packed=False)
+        with telemetry.use(tele), unpacked_campaign():
+            run_campaign(alu_netlist, vega_library)
         assert tele.counters.get("campaign.packed_golden", 0) == 0
 
 
@@ -155,14 +155,14 @@ class TestPackedProperty:
     def test_report_byte_identical(
         self, alu_netlist, vega_library, devices, seed, pack_width, workers
     ):
-        serial = run_campaign(
-            alu_netlist, vega_library,
-            devices=devices, seed=seed, shard_size=2,
-            packed=False, workers=1,
-        )
+        with unpacked_campaign():
+            serial = run_campaign(
+                alu_netlist, vega_library,
+                devices=devices, seed=seed, shard_size=2, workers=1,
+            )
         packed = run_campaign(
             alu_netlist, vega_library,
             devices=devices, seed=seed, shard_size=2,
-            packed=True, pack_width=pack_width, workers=workers,
+            pack_width=pack_width, workers=workers,
         )
         assert packed.to_json() == serial.to_json()

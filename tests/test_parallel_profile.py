@@ -20,10 +20,11 @@ from repro.sim.parallel_profile import (
     fork_available,
     plan_chunks,
     profile_operand_stream_parallel,
-    profile_operand_stream_reference,
     profile_workload_streams,
 )
 from repro.sim.probes import SPProfile, profile_operand_stream
+
+from oracles import profile_operand_stream_reference
 
 
 def _stream(seed, count=40):

@@ -25,7 +25,9 @@ from repro.rtl.signal import Module, mux
 from repro.rtl.synth import synthesize
 from repro.sim.gatesim import GateSimulator
 from repro.sta.timing import DelayModel, StaticTimingAnalyzer
-from repro.aging.corners import TYPICAL_CORNER
+from repro.aging.corners import TYPICAL_CORNER, WORST_CORNER
+
+from oracles import reference_arrivals, reference_sta
 
 
 def _random_netlist(rng: random.Random, n_inputs=3, n_gates=10, n_dffs=2):
@@ -217,33 +219,34 @@ class TestStaMonotonicity:
 class TestVectorizedStaEquivalence:
     """The numpy levelized propagation matches the dict-walking STA."""
 
+    @pytest.mark.parametrize(
+        "corner", [TYPICAL_CORNER, WORST_CORNER], ids=lambda c: c.name
+    )
     @given(
         seed=st.integers(min_value=0, max_value=400),
         scale=st.floats(min_value=0.8, max_value=1.5),
     )
     @settings(max_examples=25, deadline=None)
-    def test_arrivals_match_reference(self, seed, scale):
+    def test_arrivals_match_reference(self, corner, seed, scale):
         rng = random.Random(seed)
         netlist = _random_netlist(rng, n_inputs=3, n_gates=12, n_dffs=2)
-        base = DelayModel.fresh(netlist, TYPICAL_CORNER)
+        base = DelayModel.fresh(netlist, corner)
         model = DelayModel(
             delays={
                 name: (tmin * scale, tmax * scale)
                 for name, (tmin, tmax) in base.delays.items()
             },
-            corner=TYPICAL_CORNER,
+            corner=corner,
         )
-        ref = StaticTimingAnalyzer(netlist, model, vectorized=False)
-        vec = StaticTimingAnalyzer(netlist, model, vectorized=True)
-        report_ref = ref.check(1.0)
+        vec = StaticTimingAnalyzer(netlist, model)
         report_vec = vec.check(1.0)
-        for name in netlist.nets:
-            assert vec.arrival_max(name) == pytest.approx(
-                ref.arrival_max(name), abs=1e-9
-            )
-            assert vec.arrival_min(name) == pytest.approx(
-                ref.arrival_min(name), abs=1e-9
-            )
+        # Bit-identical, not approximately equal.
+        assert (
+            {name: vec.arrival_max(name) for name in netlist.nets},
+            {name: vec.arrival_min(name) for name in netlist.nets},
+        ) == reference_arrivals(netlist, model)
+        with reference_sta():
+            report_ref = StaticTimingAnalyzer(netlist, model).check(1.0)
         assert [
             (v.kind, v.start, v.end, v.cells) for v in report_vec.violations
         ] == [

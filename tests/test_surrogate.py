@@ -18,6 +18,7 @@ Covers the `repro.surrogate` package plus its integration points:
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import CampaignEngine
+from repro.core import telemetry
 from repro.core.config import (
     CampaignConfig,
     ErrorLiftingConfig,
@@ -155,10 +157,28 @@ class TestDatasetDeterminism:
     def test_worker_counts_yield_identical_bytes(
         self, paper_adder, paper_lib
     ):
-        serial = self._generate(paper_adder, paper_lib, workers=1)
-        forked = self._generate(paper_adder, paper_lib, workers=3)
+        counters = []
+        datasets = []
+        for workers in (1, 3):
+            tele = telemetry.Telemetry(run_id=f"workers-{workers}")
+            with telemetry.use(tele):
+                datasets.append(
+                    self._generate(paper_adder, paper_lib, workers=workers)
+                )
+            # Work counters only: wall-time counters end in ``_s``.
+            counters.append(
+                {
+                    name: value
+                    for name, value in tele.counters.items()
+                    if not re.search(r"_s(\.|$)", name)
+                }
+            )
+        serial, forked = datasets
         assert serial.to_json() == forked.to_json()
         assert serial.digest() == forked.digest()
+        # Fork workers send their counter deltas back to the parent.
+        assert counters[0] == counters[1]
+        assert counters[0]["surrogate.oracle.probes"] > 0
 
     def test_restart_yields_identical_digest(
         self, paper_adder, paper_lib, tmp_path

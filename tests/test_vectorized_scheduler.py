@@ -3,9 +3,9 @@
 The numpy mirror (:class:`repro.scheduler.belief._BeliefArrays`) and
 the vectorized :meth:`Policy.plan` are optimizations with an equality
 contract: every schedule, retire decision, fleet predicate, snapshot,
-and digest must be identical to the scalar reference.  These tests
-drive both paths over evolving belief states and compare byte for
-byte.
+and digest must be identical to the scalar reference in
+``tests/oracles.py``.  These tests drive both paths over evolving
+belief states and compare byte for byte.
 """
 
 import pytest
@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from repro.campaign.fleet import DeviceSpec
 from repro.scheduler.belief import ArmSpec, FleetBelief
 from repro.scheduler.policy import PlanRequest, make_policy
+
+from oracles import plan_reference
 
 CORNERS = ["typ", "fast", "slow"]
 CLASSES = [f"cls{i}" for i in range(4)]
@@ -83,7 +85,7 @@ class TestPlanEquivalence:
         for tick in (1, 2, 5, 40):
             assert_schedules_equal(
                 policy.plan(belief, arms, requests, tick),
-                policy.plan_reference(belief, arms, requests, tick),
+                plan_reference(policy, belief, arms, requests, tick),
             )
 
     def test_matches_after_evolution(self, policy_name):
@@ -96,7 +98,7 @@ class TestPlanEquivalence:
             schedule = policy.plan(belief, arms, requests, tick)
             assert_schedules_equal(
                 schedule,
-                policy.plan_reference(belief, arms, requests, tick),
+                plan_reference(policy, belief, arms, requests, tick),
             )
             # Fold the tick's outcomes back in (mutates the mirror
             # incrementally), alternating detection verdicts.
@@ -119,7 +121,7 @@ class TestPlanEquivalence:
             belief, arms = make_belief(fleet, budget=budget)
             assert_schedules_equal(
                 policy.plan(belief, arms, requests, 1),
-                policy.plan_reference(belief, arms, requests, 1),
+                plan_reference(policy, belief, arms, requests, 1),
             )
 
     @given(
@@ -141,7 +143,7 @@ class TestPlanEquivalence:
         requests = [PlanRequest(s.device_id, s.index) for s in fleet]
         assert_schedules_equal(
             policy.plan(belief, arms, requests, tick),
-            policy.plan_reference(belief, arms, requests, tick),
+            plan_reference(policy, belief, arms, requests, tick),
         )
 
 
@@ -181,7 +183,7 @@ class TestFleetPredicates:
         requests = [PlanRequest(s.device_id, s.index) for s in fleet]
         assert_schedules_equal(
             policy.plan(belief, arms, requests, 1),
-            policy.plan_reference(belief, arms, requests, 1),
+            plan_reference(policy, belief, arms, requests, 1),
         )
 
 
@@ -207,5 +209,5 @@ class TestSerializationUntouched:
         requests = [PlanRequest(s.device_id, s.index) for s in fleet]
         assert_schedules_equal(
             policy.plan(restored, arms, requests, 3),
-            policy.plan_reference(belief, arms, requests, 3),
+            plan_reference(policy, belief, arms, requests, 3),
         )
