@@ -105,9 +105,6 @@ class BenchRecorder:
         self._samples.setdefault(bench, []).append(sample)
         return sample
 
-    def samples_for(self, bench: str) -> List[Sample]:
-        return list(self._samples.get(bench, []))
-
     # -- publication ---------------------------------------------------
     def table(self, bench: str, text: str) -> None:
         """Register the human table and flush both artifacts."""

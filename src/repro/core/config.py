@@ -422,11 +422,3 @@ class VegaConfig:
     adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
     response: ResponseConfig = field(default_factory=ResponseConfig)
     cache_dir: Optional[str] = None
-
-    def with_mitigation(self, enabled: bool = True) -> "VegaConfig":
-        """Copy of this config with the §3.3.4 mitigation toggled."""
-        import copy
-
-        clone = copy.deepcopy(self)
-        clone.lifting.enable_mitigation = enabled
-        return clone

@@ -67,11 +67,6 @@ class BaselineDetection:
     runs: int
     netlists: int
 
-    @property
-    def functional_pct(self) -> float:
-        """Detections attributable to a failed check, not a stall."""
-        return self.detected_pct - self.stalled_pct
-
 
 @dataclass
 class DetectionOutcome:

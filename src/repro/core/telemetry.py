@@ -16,13 +16,9 @@ dependency-free self-measurement layer every phase reports into:
 * **Events** — point-in-time records (per-endpoint wall times, pair
   errors, pool utilization).
 
-Counters merge across ``fork`` workers the same way the profiling and
-lifting shards merge results: a worker snapshots its counters around a
-task (:meth:`Telemetry.snapshot`), ships the integer/float *deltas*
-back with the task result, and the parent folds them in with
-:meth:`Telemetry.merge_counters` in deterministic submission order.
-Nothing is shared between processes, so the merge is race-free by
-construction.
+Counters cross ``fork`` workers as deltas that
+:func:`repro.core.pool.fork_map` folds in with
+:meth:`Telemetry.merge_counters`, in submission order.
 
 The trace serializes as JSONL (:data:`TRACE_SCHEMA`): a ``meta`` line,
 one line per event/span in completion order, and a closing ``counters``

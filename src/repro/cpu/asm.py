@@ -41,12 +41,6 @@ class Program:
     def size(self) -> int:
         return len(self.instructions)
 
-    def label_pc(self, name: str) -> int:
-        try:
-            return self.symbols[name]
-        except KeyError:
-            raise AsmError(f"unknown symbol {name!r}") from None
-
 
 def _parse_int(token: str, line: int) -> int:
     token = token.strip()

@@ -99,12 +99,6 @@ def encode_instance(
         raise EncodingError(f"no CNF model for cell type {name!r}")
 
 
-def encode_equal(solver: SatSolver, a: int, b: int) -> None:
-    """Constrain two variables to be equal."""
-    solver.add_clause([-a, b])
-    solver.add_clause([a, -b])
-
-
 def encode_xor_var(solver: SatSolver, a: int, b: int) -> int:
     """Allocate and return d with d <-> (a xor b)."""
     d = solver.new_var()
@@ -113,17 +107,6 @@ def encode_xor_var(solver: SatSolver, a: int, b: int) -> int:
     solver.add_clause([d, -a, b])
     solver.add_clause([d, a, -b])
     return d
-
-
-def encode_fixed_value(
-    solver: SatSolver, bit_vars: Sequence[int], value: int
-) -> None:
-    """Pin a vector of variables to an integer constant (LSB first)."""
-    for i, var in enumerate(bit_vars):
-        if (value >> i) & 1:
-            solver.add_clause([var])
-        else:
-            solver.add_clause([-var])
 
 
 def encode_in_set(

@@ -176,10 +176,6 @@ class SatSolver:
     def num_vars(self) -> int:
         return self._nvars
 
-    @property
-    def num_clauses(self) -> int:
-        return len(self._clauses)
-
     def drat_proof(self) -> str:
         """The learned-clause trail in DRAT format.
 

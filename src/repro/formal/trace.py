@@ -3,15 +3,13 @@
 A trace is the cycle-accurate, module-level input sequence the paper's
 §3.3.3 step produces (Table 2 shows one for the example adder): per
 cycle, a value for every input port, plus observed values for any nets
-of interest.  Traces render as text tables and as VCD waveforms.
+of interest.  Traces render as text tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List
-
-from ..sim.vcd import VcdWriter
 
 
 @dataclass
@@ -57,11 +55,3 @@ class Trace:
             for row in rows
         ]
         return "\n".join(lines)
-
-    def to_vcd(self) -> str:
-        """Serialize observed single-bit nets as a VCD waveform."""
-        nets = sorted({k for frame in self.observed for k in frame})
-        writer = VcdWriter(nets, module=self.netlist_name)
-        for t, frame in enumerate(self.observed):
-            writer.sample({k: int(v) for k, v in frame.items()}, time=t)
-        return writer.dump()

@@ -2,68 +2,24 @@
 
 Every unique endpoint pair of the STA report is an independent unit of
 work: it clones its own shadow netlist, runs its own BMC queries, and
-produces its own :class:`~repro.lifting.lifter.PairResult`.  This module
-shards those pairs across ``multiprocessing`` workers:
-
-* the netlist, config, and mapper travel to each worker **once** (via
-  the pool initializer — with the ``fork`` start method they are
-  inherited copy-on-write, never pickled);
-* per-pair tasks carry only the :class:`~repro.sta.timing.TimingViolation`
-  and an index, and results are re-assembled **in submission order**, so
-  a parallel run is bit-identical to a serial one;
-* platforms without ``fork`` (or ``workers <= 1``, or a pool that fails
-  to come up) fall back to the serial loop transparently.
-
-Telemetry crosses the process boundary the same way results do: each
-worker gets a fresh :class:`~repro.core.telemetry.Telemetry` in its
-initializer, snapshots its counters around every pair, and ships the
-*deltas* back alongside the ``PairResult``; the parent folds them in —
-again in submission order — and records per-pair wall times plus a
-pool-utilization event.  A pair that raises is returned as a
-``PairResult`` carrying the error string (when
+produces its own :class:`~repro.lifting.lifter.PairResult`.  Pairs fan
+out through :func:`repro.core.pool.fork_map`, which keeps submission
+order, so any worker count gives the serial result.  A pair that
+raises is returned as a ``PairResult`` carrying the error string (when
 ``ErrorLiftingConfig.keep_going`` is set, the default) so one poisoned
 endpoint cannot abort the remaining pairs of a long phase-2 run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 from ..core import telemetry
+from ..core.pool import fork_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sta.timing import TimingViolation
     from .lifter import ErrorLifter, PairResult
-
-#: Per-worker lifter, installed by :func:`_init_worker` after the fork.
-_WORKER_LIFTER: Optional["ErrorLifter"] = None
-
-
-def fork_available() -> bool:
-    """True when the ``fork`` start method exists on this platform."""
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - defensive
-        return False
-
-
-def _init_worker(netlist, config, mapper) -> None:
-    """Build one lifter per worker process (netlist shipped once)."""
-    global _WORKER_LIFTER
-    import dataclasses
-
-    from .lifter import ErrorLifter
-
-    # A fresh telemetry per worker: its counter deltas travel back with
-    # each task result; the parent's instance is never shared.
-    telemetry.install(telemetry.Telemetry(run_id="lifting-worker"))
-    # Workers must not recurse into their own pools.
-    _WORKER_LIFTER = ErrorLifter(
-        netlist, dataclasses.replace(config, workers=1), mapper
-    )
 
 
 def _lift_pair_safe(
@@ -91,20 +47,6 @@ def _lift_pair_safe(
         )
 
 
-def _lift_one(
-    task: Tuple[int, "TimingViolation"]
-) -> Tuple[int, "PairResult", float, Dict[str, float]]:
-    index, violation = task
-    assert _WORKER_LIFTER is not None
-    tele = telemetry.active()
-    base = tele.snapshot() if tele is not None else {}
-    t0 = time.perf_counter()
-    result = _lift_pair_safe(_WORKER_LIFTER, violation)
-    wall = time.perf_counter() - t0
-    deltas = tele.counter_deltas(base) if tele is not None else {}
-    return index, result, wall, deltas
-
-
 def _record_pair(result: "PairResult", wall_s: float) -> None:
     """Parent-side trace records for one finished pair."""
     telemetry.add("lifting.pairs")
@@ -126,68 +68,21 @@ def _record_pair(result: "PairResult", wall_s: float) -> None:
         )
 
 
-def _lift_serial(
-    lifter: "ErrorLifter", violations: Sequence["TimingViolation"]
-) -> List["PairResult"]:
-    results: List["PairResult"] = []
-    for violation in violations:
-        t0 = time.perf_counter()
-        result = _lift_pair_safe(lifter, violation)
-        _record_pair(result, time.perf_counter() - t0)
-        results.append(result)
-    return results
-
-
 def lift_pairs(
     lifter: "ErrorLifter",
     violations: Sequence["TimingViolation"],
     workers: int = 1,
 ) -> List["PairResult"]:
-    """Lift every violation, sharded across ``workers`` processes.
+    """Lift every violation across ``workers`` processes.
 
-    Results come back ordered like ``violations`` regardless of which
-    worker finished first.  ``workers <= 0`` means "one per CPU" —
-    lifting is CPU-bound, so extra processes beyond the core count only
-    add fork/pickle overhead.  Serial execution (identical code path to
-    ``[lifter.lift_pair(v) for v in violations]``) is used when the
-    effective worker count is 1, when there is at most one pair to
-    process, or when the platform lacks the ``fork`` start method.
+    Results come back ordered like ``violations``; ``workers <= 0``
+    means one per CPU.  With one effective worker this is
+    ``[lifter.lift_pair(v) for v in violations]`` plus trace records.
     """
-    violations = list(violations)
-    workers = int(workers)
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    workers = min(workers, len(violations)) if violations else 1
-    if workers <= 1 or not fork_available():
-        return _lift_serial(lifter, violations)
-    ctx = multiprocessing.get_context("fork")
-    t_pool = time.perf_counter()
-    try:
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(lifter.netlist, lifter.config, lifter.mapper),
-        ) as pool:
-            indexed = pool.map(_lift_one, list(enumerate(violations)))
-    except (OSError, ValueError):  # pool could not start: degrade
-        return _lift_serial(lifter, violations)
-    elapsed = time.perf_counter() - t_pool
-    indexed.sort(key=lambda item: item[0])
-    tele = telemetry.active()
-    busy = 0.0
     results: List["PairResult"] = []
-    for _, result, wall, deltas in indexed:
-        if tele is not None:
-            tele.merge_counters(deltas)
+    for result, wall in fork_map(
+        "lifting", _lift_pair_safe, lifter, violations, workers
+    ):
         _record_pair(result, wall)
-        busy += wall
         results.append(result)
-    if tele is not None and elapsed > 0 and workers > 0:
-        telemetry.event(
-            "lifting.pool",
-            workers=workers,
-            elapsed_s=round(elapsed, 6),
-            busy_s=round(busy, 6),
-            utilization=round(busy / (elapsed * workers), 4),
-        )
     return results

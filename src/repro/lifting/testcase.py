@@ -65,14 +65,6 @@ class TestCase:
     instructions: List[TestInstruction] = field(default_factory=list)
     source_trace: Optional[Trace] = None
 
-    @property
-    def checked_instructions(self) -> int:
-        return sum(
-            1
-            for ins in self.instructions
-            if ins.expected is not None or ins.expected_flags is not None
-        )
-
     def describe(self) -> str:
         lines = [f"; test {self.name} ({self.unit}, {self.model.label})"]
         for ins in self.instructions:

@@ -256,9 +256,6 @@ class Netlist:
     def dffs(self) -> List[Instance]:
         return [i for i in self.instances.values() if i.ctype.is_seq]
 
-    def combinational_instances(self) -> List[Instance]:
-        return [i for i in self.instances.values() if not i.ctype.is_seq]
-
     def stats(self) -> Dict[str, int]:
         """Per-cell-type instance counts plus totals, for reporting."""
         counts: Dict[str, int] = {}

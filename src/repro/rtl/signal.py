@@ -343,13 +343,6 @@ class Signal:
         bits, _ = self._adder(other, cin)
         return Signal(self.module, bits)
 
-    def add_with_carry(self, other, carry_in: int = 0) -> Tuple["Signal", "Signal"]:
-        other = _coerce(self.module, other, self.width)
-        self._check(other)
-        cin = self.module.const_bit(carry_in)
-        bits, cout = self._adder(other, cin)
-        return Signal(self.module, bits), Signal(self.module, (cout,))
-
     def __add__(self, other) -> "Signal":
         return self.add(other)
 
@@ -390,10 +383,6 @@ class Signal:
         other = _coerce(self.module, other, self.width)
         self._check(other)
         return (~(self ^ other)).all()
-
-    def ne(self, other) -> "Signal":
-        eq = self.eq(other)
-        return ~eq
 
     def ult(self, other) -> "Signal":
         other = _coerce(self.module, other, self.width)

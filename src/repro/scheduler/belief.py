@@ -480,136 +480,6 @@ class FleetBelief:
         device = self.devices[device_id]
         return device.detected or not self.candidates(device_id, arms)
 
-    # -- sharding -------------------------------------------------------
-    def device_evidence(
-        self, device: DeviceBelief
-    ) -> Dict[str, Tuple[float, float]]:
-        """Per-class (alpha, beta) evidence one device contributed.
-
-        A posterior is ``prior + n`` for integer outcome counts ``n``,
-        and for the priors here (magnitude ~1) ``prior + n`` never
-        rounds, so the subtraction recovers the exact integer counts —
-        the per-device share of the fleet-level sufficient statistics.
-        """
-        evidence: Dict[str, Tuple[float, float]] = {}
-        for label, (alpha, beta) in device.posteriors.items():
-            prior_a, prior_b = self._prior_for(
-                device.corner, label, device.device_id
-            )
-            delta_a, delta_b = alpha - prior_a, beta - prior_b
-            if delta_a or delta_b:
-                evidence[label] = (delta_a, delta_b)
-        return evidence
-
-    def partition(
-        self, ranges: Sequence[Tuple[int, int]]
-    ) -> List["FleetBelief"]:
-        """Split into per-shard beliefs by device-index range.
-
-        Every shard carries the *full-fleet* prior (the corner/onset
-        statistics a fleet operator knows regardless of which shard
-        serves a device), its range's devices, and exactly the slice of
-        the fleet-level evidence its devices contributed — so
-        :meth:`merge` of the partition reproduces this belief's digest
-        bit for bit.  Ranges are ``(lo, hi)`` half-open index
-        intervals; together they must cover every device exactly once.
-        """
-        by_index = sorted(self.devices.values(), key=lambda d: d.index)
-        shards: List["FleetBelief"] = []
-        covered = 0
-        for lo, hi in ranges:
-            members = [d for d in by_index if lo <= d.index < hi]
-            covered += len(members)
-            shard = FleetBelief.__new__(FleetBelief)
-            shard.classes = list(self.classes)
-            shard.cycle_budget = self.cycle_budget
-            shard.fleet_blend = self.fleet_blend
-            shard.prior = {
-                corner: {label: (a, b) for label, (a, b) in table.items()}
-                for corner, table in self.prior.items()
-            }
-            shard.fleet_posteriors = {}
-            shard.devices = {}
-            shard.device_prior = {}
-            for device in members:
-                shard.devices[device.device_id] = DeviceBelief.from_dict(
-                    device.as_dict()
-                )
-                table = self.device_prior.get(device.device_id)
-                if table is not None:
-                    shard.device_prior[device.device_id] = dict(table)
-                for label, (da, db) in self.device_evidence(device).items():
-                    total = shard.fleet_posteriors.setdefault(
-                        label, [0.0, 0.0]
-                    )
-                    total[0] += da
-                    total[1] += db
-            shard._arrays = None
-            shards.append(shard)
-        if covered != len(self.devices):
-            raise ValueError(
-                f"shard ranges cover {covered} of {len(self.devices)} "
-                f"devices (ranges must tile the fleet exactly once)"
-            )
-        return shards
-
-    @classmethod
-    def merge(cls, shards: Sequence["FleetBelief"]) -> "FleetBelief":
-        """Exact recombination of a sharded fleet belief.
-
-        Device beliefs union over disjoint keys; the fleet-level
-        posteriors recombine by summing per-shard deltas — those are
-        integer-valued floats (one ±1.0 per outcome), so the sums are
-        exact in any order and the merged state equals what a single
-        process folding the concatenated event stream would hold.
-        Shards must agree on classes, budget, blend, and prior (they
-        all descend from one :meth:`partition`).
-        """
-        if not shards:
-            raise ValueError("merge needs at least one shard belief")
-        first = shards[0]
-        merged = cls.__new__(cls)
-        merged.classes = list(first.classes)
-        merged.cycle_budget = first.cycle_budget
-        merged.fleet_blend = first.fleet_blend
-        merged.prior = {
-            corner: {label: (a, b) for label, (a, b) in table.items()}
-            for corner, table in first.prior.items()
-        }
-        merged.fleet_posteriors = {}
-        merged.devices = {}
-        merged.device_prior = {}
-        for shard in shards:
-            if (
-                shard.classes != merged.classes
-                or shard.cycle_budget != merged.cycle_budget
-                or shard.fleet_blend != merged.fleet_blend
-                or shard.prior != merged.prior
-            ):
-                raise ValueError(
-                    "shard beliefs disagree on classes/budget/blend/"
-                    "prior; they are not a partition of one fleet"
-                )
-            for device_id, device in shard.devices.items():
-                if device_id in merged.devices:
-                    raise ValueError(
-                        f"device {device_id!r} appears in two shards"
-                    )
-                merged.devices[device_id] = DeviceBelief.from_dict(
-                    device.as_dict()
-                )
-                table = shard.device_prior.get(device_id)
-                if table is not None:
-                    merged.device_prior[device_id] = dict(table)
-            for label, (da, db) in shard.fleet_posteriors.items():
-                total = merged.fleet_posteriors.setdefault(
-                    label, [0.0, 0.0]
-                )
-                total[0] += da
-                total[1] += db
-        merged._arrays = None
-        return merged
-
     # -- serialization --------------------------------------------------
     def snapshot(self) -> dict:
         """Canonical, JSON-ready copy of the full belief state.

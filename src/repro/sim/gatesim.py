@@ -305,13 +305,6 @@ class GateSimulator:
     def read_net(self, net_name: str) -> int:
         return self.values[self._net_index[net_name]]
 
-    def net_values(self) -> Dict[str, int]:
-        """Snapshot of every net's current (possibly packed) value."""
-        return {
-            name: self.values[idx]
-            for name, idx in self._net_index.items()
-        }
-
     def run(
         self,
         stimulus: Iterable[Dict[str, int]],

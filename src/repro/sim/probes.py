@@ -60,11 +60,6 @@ class SPProfile:
     samples: int = 0
     ones: Optional[Dict[str, int]] = None
 
-    def of_instance(self, netlist: Netlist, instance_name: str) -> float:
-        """SP of a cell's output net."""
-        inst = netlist.instances[instance_name]
-        return self.sp[inst.output_net.name]
-
     def net_samples(self, name: str) -> int:
         """How many of this profile's samples observed net ``name``.
 
@@ -258,10 +253,6 @@ class SPCounter:
             for name, index in sim._net_index.items():
                 self.ones[name] += (values[index] & mask).bit_count()
         self.samples += width
-
-    def reset_history(self) -> None:
-        """Forget the previous sample (e.g. across packed batches)."""
-        self._previous = None
 
     def profile(self) -> SPProfile:
         if self.samples == 0:

@@ -24,7 +24,6 @@ from .dataset import (
     SurrogateDataset,
     device_sp_vector,
     generate_dataset,
-    skewed_profile,
 )
 from .features import (
     FEATURE_SCHEMA,
@@ -70,7 +69,6 @@ __all__ = [
     "generate_dataset",
     "profiled_fleet",
     "run_surrogate_campaign",
-    "skewed_profile",
     "surrogate_device_prior",
     "train_surrogate",
     "triage_fleet",

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -35,8 +33,8 @@ from ..bench.sample import canon_value, canonical_dumps
 from ..core import telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import SurrogateConfig
+from ..core.pool import fork_map, resolve_workers
 from ..core.rng import stream_rng, stream_seed
-from ..lifting.parallel import fork_available
 from ..netlist.cells import CellLibrary
 from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile
@@ -79,23 +77,6 @@ def device_sp_vector(
     else:
         skewed = base_sp + (-intensity) * weights * (1.0 - base_sp)
     return np.clip(skewed, 0.0, 1.0)
-
-
-def skewed_profile(
-    base: SPProfile,
-    netlist: Netlist,
-    intensity: float,
-    noise: float,
-    seed: int,
-    index: int,
-) -> SPProfile:
-    """Dict-profile convenience wrapper over :func:`device_sp_vector`."""
-    featurizer = FleetFeaturizer(netlist)
-    return featurizer.profile(
-        device_sp_vector(
-            featurizer.base_vector(base), intensity, noise, seed, index
-        )
-    )
 
 
 def sample_draws(
@@ -226,29 +207,12 @@ def _label_row(
     )
 
 
-# -- fork-worker plumbing (mirrors repro.campaign.engine) ---------------
-_WORKER_STATE: Optional[tuple] = None
-
-
-def _init_dataset_worker(state: tuple) -> None:
-    global _WORKER_STATE
-    telemetry.install(telemetry.Telemetry(run_id="surrogate-worker"))
-    _WORKER_STATE = state
-
-
-def _label_chunk(
-    indices: List[int],
-) -> Tuple[List[Dict[str, Any]], Dict[str, float]]:
-    assert _WORKER_STATE is not None
-    config, featurizer, oracle, base_sp = _WORKER_STATE
-    tele = telemetry.active()
-    base = tele.snapshot() if tele is not None else {}
-    rows = [
+def _label_chunk(state: tuple, indices: List[int]) -> List[Dict[str, Any]]:
+    config, featurizer, oracle, base_sp = state
+    return [
         _label_row(index, config, featurizer, oracle, base_sp)
         for index in indices
     ]
-    deltas = tele.counter_deltas(base) if tele is not None else {}
-    return rows, deltas
 
 
 def dataset_key(
@@ -303,10 +267,13 @@ def generate_dataset(
     oracle = ExactAgingOracle(netlist, library, config=config)
     base_sp = featurizer.base_vector(base_profile)
     indices = list(range(config.samples))
-    workers = int(config.workers)
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    workers = min(workers, max(1, len(indices)))
+    workers = resolve_workers(config.workers, len(indices))
+    chunk = max(1, (len(indices) + workers - 1) // workers)
+    chunks = [
+        indices[start : start + chunk]
+        for start in range(0, len(indices), chunk)
+    ]
+    state = (config, featurizer, oracle, base_sp)
 
     with telemetry.span(
         "surrogate.dataset",
@@ -314,41 +281,13 @@ def generate_dataset(
         samples=config.samples,
         workers=workers,
     ):
-        if workers > 1 and fork_available():
-            chunk = max(1, (len(indices) + workers - 1) // workers)
-            chunks = [
-                indices[start : start + chunk]
-                for start in range(0, len(indices), chunk)
-            ]
-            ctx = multiprocessing.get_context("fork")
-            state = (config, featurizer, oracle, base_sp)
-            try:
-                pool = ctx.Pool(
-                    processes=min(workers, len(chunks)),
-                    initializer=_init_dataset_worker,
-                    initargs=(state,),
-                )
-            except (OSError, ValueError):
-                pool = None
-            if pool is None:
-                rows = [
-                    _label_row(i, config, featurizer, oracle, base_sp)
-                    for i in indices
-                ]
-            else:
-                tele = telemetry.active()
-                rows = []
-                with pool:
-                    # imap preserves chunk submission order.
-                    for part, deltas in pool.imap(_label_chunk, chunks):
-                        rows.extend(part)
-                        if tele is not None:
-                            tele.merge_counters(deltas)
-        else:
-            rows = [
-                _label_row(i, config, featurizer, oracle, base_sp)
-                for i in indices
-            ]
+        rows = [
+            row
+            for part, _wall in fork_map(
+                "surrogate", _label_chunk, state, chunks, workers
+            )
+            for row in part
+        ]
         telemetry.add("surrogate.dataset.rows", len(rows))
 
     dataset = SurrogateDataset(

@@ -88,9 +88,6 @@ class RidgeSurrogate:
     def predict_onset(self, X: np.ndarray) -> np.ndarray:
         return self.predict(X)[:, 0]
 
-    def predict_slack(self, X: np.ndarray) -> np.ndarray:
-        return self.predict(X)[:, 1]
-
     @property
     def threshold(self) -> Optional[float]:
         """Calibrated triage threshold (None before calibration)."""

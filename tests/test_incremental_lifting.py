@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ErrorLiftingConfig
+from repro.core.pool import fork_available
 from repro.cpu.alu_design import build_alu
 from repro.cpu.fpu_design import build_fpu
 from repro.formal.bmc import BmcStatus, BoundedModelChecker, CoverObjective
 from repro.lifting.instrument import instrument_for_cover
 from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
-from repro.lifting.parallel import fork_available, lift_pairs
+from repro.lifting.parallel import lift_pairs
 from repro.sta.timing import TimingViolation
 
 from oracles import cover_fresh, fresh_bmc
@@ -155,11 +156,11 @@ class TestParallelLifting:
         )
 
     def test_serial_fallback_without_fork(self, paper_adder, monkeypatch):
-        import repro.lifting.parallel as parallel_mod
+        import repro.core.pool as pool_mod
 
-        monkeypatch.setattr(parallel_mod, "fork_available", lambda: False)
+        monkeypatch.setattr(pool_mod, "fork_available", lambda: False)
         lifter = self._lifter(paper_adder)
-        results = parallel_mod.lift_pairs(lifter, ADDER_VIOLATIONS, workers=8)
+        results = lift_pairs(lifter, ADDER_VIOLATIONS, workers=8)
         assert _fingerprint(results) == _fingerprint(
             [lifter.lift_pair(v) for v in ADDER_VIOLATIONS]
         )

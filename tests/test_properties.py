@@ -263,10 +263,8 @@ class TestParallelProfileEquivalence:
     )
     @settings(max_examples=8, deadline=None)
     def test_worker_count_invariance(self, seed, workers):
-        from repro.sim.parallel_profile import (
-            fork_available,
-            profile_operand_stream_parallel,
-        )
+        from repro.core.pool import fork_available
+        from repro.sim.parallel_profile import profile_operand_stream_parallel
 
         rng = random.Random(seed)
         netlist = _random_netlist(rng, n_inputs=3, n_gates=10, n_dffs=2)

@@ -624,51 +624,3 @@ class TestDrainRetireSymmetry:
 
     def test_dispatch_arm_helper_is_gone(self):
         assert not hasattr(DetectionService, "dispatch_arm")
-
-
-# ---------------------------------------------------------------------
-# Partition / merge exactness
-# ---------------------------------------------------------------------
-class TestPartitionMerge:
-    def _evolved_belief(self):
-        fleet = _fleet()
-        classes = _classes()
-        belief = FleetBelief(fleet, classes, cycle_budget=10_000)
-        arms = [
-            ArmSpec(f"case:t{i}", "case", classes[i % 3], 40, i)
-            for i in range(4)
-        ]
-        for i, spec in enumerate(fleet):
-            for j, arm in enumerate(arms):
-                belief.record_dispatch(spec.device_id, arm)
-                belief.record_outcome(
-                    spec.device_id, arm, (i + j) % 3 == 0, 40
-                )
-        return belief
-
-    def test_merge_of_partition_reproduces_digest(self):
-        belief = self._evolved_belief()
-        for ranges in ([(0, 8)], [(0, 4), (4, 8)],
-                       [(0, 3), (3, 5), (5, 8)]):
-            shards = belief.partition(ranges)
-            merged = FleetBelief.merge(shards)
-            assert merged.digest() == belief.digest()
-            assert merged.to_json() == belief.to_json()
-
-    def test_partition_requires_exact_tiling(self):
-        belief = self._evolved_belief()
-        with pytest.raises(ValueError, match="tile"):
-            belief.partition([(0, 4)])
-
-    def test_merge_rejects_overlapping_shards(self):
-        belief = self._evolved_belief()
-        shards = belief.partition([(0, 4), (4, 8)])
-        with pytest.raises(ValueError, match="two shards"):
-            FleetBelief.merge([shards[0], shards[0]])
-
-    def test_merge_rejects_mismatched_config(self):
-        belief = self._evolved_belief()
-        shards = belief.partition([(0, 4), (4, 8)])
-        shards[1].fleet_blend = 0.9
-        with pytest.raises(ValueError, match="disagree"):
-            FleetBelief.merge(shards)

@@ -13,7 +13,7 @@ Covers the `repro.surrogate` package plus its integration points:
   the re-verified tail's campaign report rows equal the corresponding
   rows of an all-exact campaign byte for byte;
 * the scheduler's per-device surrogate priors (belief lookup, digest
-  preservation, partition/merge round trip).
+  preservation).
 """
 
 import dataclasses
@@ -555,20 +555,3 @@ class TestDevicePriors:
         restored = FleetBelief.from_snapshot(belief.snapshot())
         assert restored.device_prior == belief.device_prior
         assert restored.digest() == belief.digest()
-
-    def test_partition_and_merge_preserve_priors(self):
-        specs = self._specs()
-        priors = {
-            "dev-0000": {"x": (3.0, 1.0)},
-            "dev-0002": {"x": (0.5, 2.5)},
-        }
-        belief = FleetBelief(
-            specs, ["x"], cycle_budget=1000, device_prior=priors
-        )
-        shards = belief.partition([(0, 2), (2, 3)])
-        shard_tables = {}
-        for shard in shards:
-            shard_tables.update(shard.device_prior)
-        assert shard_tables == belief.device_prior
-        merged = FleetBelief.merge(shards)
-        assert merged.device_prior == belief.device_prior
