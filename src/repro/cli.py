@@ -14,6 +14,8 @@ lift           phase 2: formal test construction (Table 4 view)
 suite          emit test-suite artifacts (assembly / C / routine)
 inject         emit a failing netlist as Verilog
 detect         run the generated suite against an injected failure
+verify         SAT-check the Verilog round-trip and the optimizer
+models         export the failure-model library and suite artifacts
 integrate      phase 3: profile-guided splicing into a workload
 trace          summarize a JSONL telemetry trace
 campaign       fleet-scale fault-injection campaigns (run / report)
@@ -21,7 +23,12 @@ bench          canonical benchmark trajectory (compare / report)
 surrogate      ML aging surrogate (train / validate / triage)
 attack         adversarial wearout scenarios (search / run)
 respond        detection→response reconfiguration policies
+serve          online detection service (checkpoints, /metrics)
+schedule       adaptive dispatch schedule with replay verification
 =============  =====================================================
+
+Options shared by several verbs are declared once by the ``_add_*``
+helpers, and ``main()`` runs every verb under one scoped telemetry.
 """
 
 from __future__ import annotations
@@ -32,6 +39,14 @@ from typing import Optional
 
 from .core.experiments import default_context
 from .lifting.models import CMode, FailureModel, ViolationKind
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_unit(parser: argparse.ArgumentParser) -> None:
@@ -49,6 +64,53 @@ def _add_mitigation(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_workers(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=1,
+                   help="fork worker processes; 0 = one per CPU (results "
+                        "are identical for any worker count; serial "
+                        "fallback without fork)")
+
+
+def _add_cache(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-cache", action="store_true",
+                   help="disable the artifact cache (and its checkpoints)")
+    p.add_argument("--cache-dir", default=".vega-cache",
+                   help="artifact cache root (default: .vega-cache)")
+
+
+def _add_checkpointed(p: argparse.ArgumentParser) -> None:
+    """Options of the resumable, traced verbs (run/campaign/attack/respond)."""
+    _add_workers(p)
+    _add_cache(p)
+    p.add_argument("--resume", action="store_true",
+                   help="resume from the checkpoints in the artifact cache "
+                        "(phases, shards, rounds or policies)")
+    p.add_argument("--trace", metavar="FILE",
+                   help="write the JSONL telemetry trace to FILE")
+    p.add_argument("--metrics", action="store_true",
+                   help="print the markdown metrics summary")
+
+
+def _add_report(p: argparse.ArgumentParser, what: str) -> None:
+    p.add_argument("--report", metavar="FILE",
+                   help=f"write the {what} JSON to FILE")
+
+
+def _add_onset(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--onset-years", type=float, default=None,
+                   help="base violation-onset age; defaults to a "
+                        "lifetime-sweep estimate for the unit")
+
+
+def _add_fleet(p: argparse.ArgumentParser, devices: int, suites: str) -> None:
+    p.add_argument("--devices", type=int, default=devices,
+                   help=f"fleet size (default: {devices})")
+    p.add_argument("--seed", type=int, default=2024,
+                   help="fleet seed; drives every fleet draw")
+    p.add_argument("--suites", default=suites,
+                   help="comma-separated detection suites to run")
+
+
 def _add_surrogate_data(p: argparse.ArgumentParser) -> None:
     """Arguments shared by ``surrogate train`` and ``surrogate validate``."""
     _add_unit(p)
@@ -56,13 +118,66 @@ def _add_surrogate_data(p: argparse.ArgumentParser) -> None:
                    help="labeled sweep size (default: 96)")
     p.add_argument("--seed", type=int, default=7,
                    help="surrogate seed; drives every dataset draw")
-    p.add_argument("--workers", type=int, default=1,
-                   help="fork workers for oracle labeling; 0 = one per "
-                        "CPU (rows are byte-identical for any count)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache and re-label")
-    p.add_argument("--cache-dir", default=".vega-cache",
-                   help="artifact cache root (default: .vega-cache)")
+    _add_workers(p)
+    _add_cache(p)
+
+
+def _add_attack_search(p: argparse.ArgumentParser) -> None:
+    """Arguments shared by ``attack search`` and ``attack run``."""
+    _add_unit(p)
+    p.add_argument("--attack-seed", type=int, default=99,
+                   help="adversary seed; drives every candidate, "
+                        "mutation, and attacked-subset draw")
+    p.add_argument("--candidates", type=_positive_int, default=8,
+                   help="seeded candidate streams (default: 8)")
+    p.add_argument("--rounds", type=int, default=3,
+                   help="beam-refinement rounds (default: 3)")
+    p.add_argument("--beam", type=_positive_int, default=3,
+                   help="survivors kept per round (default: 3)")
+    p.add_argument("--mutations", type=int, default=4,
+                   help="mutants per survivor per round (default: 4)")
+    p.add_argument("--stream-ops", type=_positive_int, default=192,
+                   help="operations per candidate stream")
+    p.add_argument("--lanes", type=_positive_int, default=64,
+                   help="packed profiling lanes per candidate")
+    _add_checkpointed(p)
+    _add_report(p, "result")
+
+
+def _add_scheduler(p: argparse.ArgumentParser) -> None:
+    """Arguments shared by the ``serve`` and ``schedule`` verbs."""
+    _add_unit(p)
+    _add_mitigation(p)
+    _add_fleet(p, devices=12, suites="vega,random,silifuzz")
+    p.add_argument("--policy", default="thompson",
+                   help="dispatch policy: sequential, greedy, thompson")
+    p.add_argument("--policy-seed", type=int, default=7,
+                   help="seed for the policy's sampling streams")
+    p.add_argument("--budget", type=int, default=25_000,
+                   help="per-device cycle budget (default: 25000)")
+    p.add_argument("--batch-size", type=_positive_int, default=16,
+                   help="max dispatches per planning tick")
+    p.add_argument("--batch-window", type=int, default=4,
+                   help="scheduler passes to wait for a full batch")
+    p.add_argument("--queue", type=int, default=64,
+                   help="ingest queue bound (backpressure threshold)")
+    p.add_argument("--checkpoint-every", type=int, default=25,
+                   help="belief checkpoint period, in ingested results")
+    p.add_argument("--strategy", choices=("sequential", "random"),
+                   default="sequential", help="suite assembly strategy")
+    _add_onset(p)
+    p.add_argument("--log", metavar="FILE",
+                   help="write the JSONL event log to FILE")
+    _add_cache(p)
+
+
+def _add_failure_model(p: argparse.ArgumentParser) -> None:
+    """The ``--start/--end/--kind/--c`` failure model of inject/detect."""
+    p.add_argument("--start", required=True, help="launch flop (X)")
+    p.add_argument("--end", required=True, help="capture flop (Y)")
+    p.add_argument("--kind", choices=("setup", "hold"), default="setup")
+    p.add_argument("--c", choices=("0", "1", "R"), default="0",
+                   help="wrongly-sampled value C")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,35 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_unit(p)
     _add_mitigation(p)
-    p.add_argument(
-        "--trace", metavar="FILE",
-        help="write the run's JSONL telemetry trace to FILE",
-    )
-    p.add_argument(
-        "--metrics", action="store_true",
-        help="print the markdown metrics summary after the report",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume a killed/failed run from its phase checkpoints "
-             "(requires the artifact cache)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for profiling and lifting; 0 = one per "
-             "CPU (results are identical for any worker count)",
-    )
+    _add_checkpointed(p)
     p.add_argument(
         "--max-paths", type=int, default=50,
         help="violating-path cap per endpoint for phase-1 STA",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the artifact cache (also disables checkpoints)",
-    )
-    p.add_argument(
-        "--cache-dir", default=".vega-cache",
-        help="artifact cache root (default: .vega-cache)",
     )
 
     p = sub.add_parser(
@@ -128,20 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="SP profiling + aged delay model (phase 1, parallel + cached)",
     )
     _add_unit(p)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the workload's cycle ranges across N profiling "
-             "processes; 0 = one per CPU (profiles are bit-identical "
-             "for any worker count; serial fallback without fork)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the content-addressed artifact cache and re-simulate",
-    )
-    p.add_argument(
-        "--cache-dir", default=".vega-cache",
-        help="artifact cache root (default: .vega-cache)",
-    )
+    _add_workers(p)
+    _add_cache(p)
 
     p = sub.add_parser("sta", help="aging analysis (phase 1)")
     _add_unit(p)
@@ -152,12 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="error lifting (phase 2)")
     _add_unit(p)
     _add_mitigation(p)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="shard endpoint pairs across N processes; 0 = one per CPU "
-             "(results are deterministic; serial fallback when fork is "
-             "unavailable)",
-    )
+    _add_workers(p)
 
     p = sub.add_parser("suite", help="emit test-suite artifacts")
     _add_unit(p)
@@ -171,20 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inject", help="emit a failing netlist (Verilog)")
     _add_unit(p)
-    p.add_argument("--start", required=True, help="launch flop (X)")
-    p.add_argument("--end", required=True, help="capture flop (Y)")
-    p.add_argument("--kind", choices=("setup", "hold"), default="setup")
-    p.add_argument("--c", choices=("0", "1", "R"), default="0",
-                   help="wrongly-sampled value C")
+    _add_failure_model(p)
     p.add_argument("-o", "--output", help="write to file instead of stdout")
 
     p = sub.add_parser("detect", help="run the suite against a failure")
     _add_unit(p)
     _add_mitigation(p)
-    p.add_argument("--start", required=True)
-    p.add_argument("--end", required=True)
-    p.add_argument("--kind", choices=("setup", "hold"), default="setup")
-    p.add_argument("--c", choices=("0", "1", "R"), default="0")
+    _add_failure_model(p)
 
     p = sub.add_parser(
         "verify",
@@ -212,38 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_unit(p)
     _add_mitigation(p)
-    p.add_argument("--devices", type=int, default=12,
-                   help="fleet size (default: 12)")
-    p.add_argument("--seed", type=int, default=2024,
-                   help="campaign seed; drives every fleet draw")
-    p.add_argument("--workers", type=int, default=1,
-                   help="fork workers for device shards; 0 = one per CPU "
-                        "(reports are bit-identical for any worker count)")
-    p.add_argument("--shard-size", type=int, default=4,
+    _add_fleet(p, devices=12, suites="vega,random,silifuzz")
+    p.add_argument("--shard-size", type=_positive_int, default=4,
                    help="devices per shard (the checkpoint/resume unit)")
     p.add_argument("--pack-width", type=int, default=64,
                    help="max failure-model bit-planes per packed "
                         "gate-sim group (default: 64)")
-    p.add_argument("--suites", default="vega,random,silifuzz",
-                   help="comma-separated detection suites to run")
     p.add_argument("--strategy", choices=("sequential", "random"),
                    default="sequential", help="suite scheduling strategy")
-    p.add_argument("--onset-years", type=float, default=None,
-                   help="base violation-onset age; defaults to a "
-                        "lifetime-sweep estimate for the unit")
-    p.add_argument("--resume", action="store_true",
-                   help="skip device shards already checkpointed in the "
-                        "artifact cache")
-    p.add_argument("--report", metavar="FILE",
-                   help="write the CampaignReport JSON to FILE")
-    p.add_argument("--trace", metavar="FILE",
-                   help="write the campaign's JSONL telemetry trace")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the markdown metrics summary")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache (and shard resume)")
-    p.add_argument("--cache-dir", default=".vega-cache",
-                   help="artifact cache root (default: .vega-cache)")
+    _add_onset(p)
+    _add_checkpointed(p)
+    _add_report(p, "CampaignReport")
     p = campaign_sub.add_parser(
         "report", help="render a CampaignReport JSON file as markdown"
     )
@@ -256,42 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
              "attacked fleet",
     )
     attack_sub = p.add_subparsers(dest="attack_command", required=True)
-
-    def _add_attack_search(p: argparse.ArgumentParser) -> None:
-        _add_unit(p)
-        p.add_argument("--attack-seed", type=int, default=99,
-                       help="adversary seed; drives every candidate, "
-                            "mutation, and attacked-subset draw")
-        p.add_argument("--candidates", type=int, default=8,
-                       help="seeded candidate streams (default: 8)")
-        p.add_argument("--rounds", type=int, default=3,
-                       help="beam-refinement rounds (default: 3)")
-        p.add_argument("--beam", type=int, default=3,
-                       help="survivors kept per round (default: 3)")
-        p.add_argument("--mutations", type=int, default=4,
-                       help="mutants per survivor per round (default: 4)")
-        p.add_argument("--stream-ops", type=int, default=192,
-                       help="operations per candidate stream")
-        p.add_argument("--lanes", type=int, default=64,
-                       help="packed profiling lanes per candidate")
-        p.add_argument("--workers", type=int, default=1,
-                       help="fork workers for profiling and device "
-                            "shards; 0 = one per CPU (results are "
-                            "byte-identical for any count)")
-        p.add_argument("--resume", action="store_true",
-                       help="resume from round/shard checkpoints in the "
-                            "artifact cache")
-        p.add_argument("--report", metavar="FILE",
-                       help="write the result JSON to FILE")
-        p.add_argument("--trace", metavar="FILE",
-                       help="write the JSONL telemetry trace")
-        p.add_argument("--metrics", action="store_true",
-                       help="print the markdown metrics summary")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the artifact cache (and resume)")
-        p.add_argument("--cache-dir", default=".vega-cache",
-                       help="artifact cache root (default: .vega-cache)")
-
     p = attack_sub.add_parser(
         "search",
         help="search for the operand stream maximizing BTI stress on "
@@ -305,20 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_attack_search(p)
     _add_mitigation(p)
-    p.add_argument("--devices", type=int, default=12,
-                   help="fleet size (default: 12)")
-    p.add_argument("--seed", type=int, default=2024,
-                   help="campaign seed; both fleets draw the same "
-                        "individuals from it")
-    p.add_argument("--shard-size", type=int, default=4,
+    _add_fleet(p, devices=12, suites="vega,random")
+    p.add_argument("--shard-size", type=_positive_int, default=4,
                    help="devices per shard (the checkpoint/resume unit)")
-    p.add_argument("--suites", default="vega,random",
-                   help="comma-separated detection suites to run")
     p.add_argument("--attack-fraction", type=float, default=1.0,
                    help="fraction of the fleet the attacker reaches")
-    p.add_argument("--onset-years", type=float, default=None,
-                   help="base violation-onset age; defaults to a "
-                        "lifetime-sweep estimate for the unit")
+    _add_onset(p)
 
     p = sub.add_parser(
         "respond",
@@ -335,23 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "policy's accuracy cost")
     p.add_argument("--seed", type=int, default=17,
                    help="seed for the response.accuracy RNG stream")
-    p.add_argument("--workers", type=int, default=1,
-                   help="fork workers for re-profiling modified "
-                        "netlists; 0 = one per CPU (reports are "
-                        "byte-identical for any count)")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from per-policy checkpoints in the "
-                        "artifact cache")
-    p.add_argument("--report", metavar="FILE",
-                   help="write the ResponseReport JSON to FILE")
-    p.add_argument("--trace", metavar="FILE",
-                   help="write the JSONL telemetry trace")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the markdown metrics summary")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache (and resume)")
-    p.add_argument("--cache-dir", default=".vega-cache",
-                   help="artifact cache root (default: .vega-cache)")
+    _add_checkpointed(p)
+    _add_report(p, "ResponseReport")
 
     p = sub.add_parser(
         "bench",
@@ -416,17 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mitigation(p)
     p.add_argument("--model", required=True, metavar="FILE",
                    help="trained surrogate snapshot (surrogate train -o)")
-    p.add_argument("--devices", type=int, default=32,
-                   help="fleet size (default: 32)")
-    p.add_argument("--seed", type=int, default=2024,
-                   help="fleet seed (surrogate.fleet streams)")
-    p.add_argument("--suites", default="vega",
-                   help="comma-separated detection suites for the tail")
+    _add_fleet(p, devices=32, suites="vega")
     p.add_argument("--surrogate-seed", type=int, default=7,
                    help="surrogate seed (per-net workload noise streams; "
                         "must match the training sweep's)")
-    p.add_argument("--report", metavar="FILE",
-                   help="write the tail CampaignReport JSON to FILE")
+    _add_report(p, "tail CampaignReport")
     p.add_argument("--verify-exact", action="store_true",
                    help="also run the all-exact profiled campaign and "
                         "assert the flagged devices' report rows are "
@@ -458,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
              "report per-policy detection outcomes",
     )
     _add_scheduler(p)
-    p.add_argument("--report", metavar="FILE",
-                   help="write the ScheduleReport JSON to FILE")
+    _add_report(p, "ScheduleReport")
     p.add_argument("--verify-replay", action="store_true",
                    help="re-execute the run and verify the event log "
                         "reproduces byte for byte")
@@ -475,41 +454,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_scheduler(p) -> None:
-    """Arguments shared by the ``serve`` and ``schedule`` verbs."""
-    _add_unit(p)
-    _add_mitigation(p)
-    p.add_argument("--devices", type=int, default=12,
-                   help="fleet size (default: 12)")
-    p.add_argument("--seed", type=int, default=2024,
-                   help="fleet seed (same streams as campaign run)")
-    p.add_argument("--policy", default="thompson",
-                   help="dispatch policy: sequential, greedy, thompson")
-    p.add_argument("--policy-seed", type=int, default=7,
-                   help="seed for the policy's sampling streams")
-    p.add_argument("--budget", type=int, default=25_000,
-                   help="per-device cycle budget (default: 25000)")
-    p.add_argument("--batch-size", type=int, default=16,
-                   help="max dispatches per planning tick")
-    p.add_argument("--batch-window", type=int, default=4,
-                   help="scheduler passes to wait for a full batch")
-    p.add_argument("--queue", type=int, default=64,
-                   help="ingest queue bound (backpressure threshold)")
-    p.add_argument("--checkpoint-every", type=int, default=25,
-                   help="belief checkpoint period, in ingested results")
-    p.add_argument("--suites", default="vega,random,silifuzz",
-                   help="comma-separated suites providing dispatch arms")
-    p.add_argument("--strategy", choices=("sequential", "random"),
-                   default="sequential", help="suite assembly strategy")
-    p.add_argument("--onset-years", type=float, default=None,
-                   help="base violation-onset age; defaults to a "
-                        "lifetime-sweep estimate for the unit")
-    p.add_argument("--log", metavar="FILE",
-                   help="write the JSONL event log to FILE")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache (and checkpoints)")
-    p.add_argument("--cache-dir", default=".vega-cache",
-                   help="artifact cache root (default: .vega-cache)")
+def _cache(args):
+    """The artifact cache the verb's ``--no-cache/--cache-dir`` select."""
+    from .core.artifacts import ArtifactCache
+
+    return None if args.no_cache else ArtifactCache(args.cache_dir)
+
+
+def _csv(text: str) -> tuple:
+    """A comma-separated option (``--suites``, ``--policies``) as a tuple."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _write_report(args, report, out, label: str = "report") -> None:
+    """Write ``report.to_json()`` to ``--report`` when it is given."""
+    if args.report:
+        with open(args.report, "w") as fp:
+            fp.write(report.to_json())
+        print(f"  {label} written to {args.report}", file=out)
+
+
+def _emit(args, text: str, out) -> int:
+    """Write an artifact to ``-o`` (with a one-line receipt) or stdout."""
+    if args.output:
+        with open(args.output, "w") as fp:
+            fp.write(text)
+        print(f"wrote {args.output} ({len(text.splitlines())} lines)",
+              file=out)
+    else:
+        print(text, file=out)
+    return 0
 
 
 def _model_from_args(args) -> FailureModel:
@@ -537,10 +511,6 @@ def cmd_run(args, out) -> int:
     )
     from .core.workflow import VegaWorkflow
 
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
     ctx = default_context()
     unit = ctx.unit(args.unit)
     config = VegaConfig(
@@ -567,12 +537,6 @@ def cmd_run(args, out) -> int:
     if report.resumed_phases:
         print("  resumed from checkpoints: "
               + ", ".join(report.resumed_phases), file=out)
-    if args.trace:
-        report.write_trace(args.trace)
-        print(f"  trace written to {args.trace}", file=out)
-    if args.metrics:
-        print(file=out)
-        print(report.metrics_markdown(), file=out)
     return 0
 
 
@@ -582,7 +546,7 @@ def cmd_trace(args, out) -> int:
     try:
         records = telemetry.read_trace(args.file)
     except telemetry.TraceError as exc:
-        if "empty" in str(exc):
+        if str(exc) == "trace is empty":
             print(f"no spans recorded: {args.file} is empty", file=sys.stderr)
         else:
             print(f"invalid trace: {exc}", file=sys.stderr)
@@ -693,13 +657,7 @@ def cmd_suite(args, out) -> int:
         text = suite.c_source()
     else:
         text = suite.routine_source()
-    if args.output:
-        with open(args.output, "w") as fp:
-            fp.write(text)
-        print(f"wrote {args.output} ({len(text.splitlines())} lines)", file=out)
-    else:
-        print(text, file=out)
-    return 0
+    return _emit(args, text, out)
 
 
 def cmd_inject(args, out) -> int:
@@ -708,14 +666,7 @@ def cmd_inject(args, out) -> int:
     ctx = default_context()
     unit = ctx.unit(args.unit)
     failing = make_failing_netlist(unit.netlist, _model_from_args(args))
-    text = failing.to_verilog()
-    if args.output:
-        with open(args.output, "w") as fp:
-            fp.write(text)
-        print(f"wrote {args.output} ({len(text.splitlines())} lines)", file=out)
-    else:
-        print(text, file=out)
-    return 0
+    return _emit(args, failing.to_verilog(), out)
 
 
 def cmd_detect(args, out) -> int:
@@ -796,36 +747,25 @@ def cmd_campaign(args, out) -> int:
         print(report.to_markdown(), file=out)
         return 0
 
-    from .core import telemetry
-    from .core.artifacts import ArtifactCache
     from .core.config import CampaignConfig
 
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
-    suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     config = CampaignConfig(
         devices=args.devices,
         seed=args.seed,
         shard_size=args.shard_size,
         workers=args.workers,
-        suites=suites,
+        suites=_csv(args.suites),
         strategy=args.strategy,
         base_onset_years=args.onset_years,
         pack_width=args.pack_width,
     )
-    cache = None if args.no_cache else ArtifactCache(args.cache_dir)
-    ctx = default_context()
-    tele = telemetry.Telemetry()
-    with telemetry.use(tele):
-        engine = CampaignEngine.for_unit(
-            ctx.unit(args.unit),
-            config=config,
-            cache=cache,
-            mitigation=args.mitigation,
-        )
-        report = engine.run(resume=args.resume)
+    engine = CampaignEngine.for_unit(
+        default_context().unit(args.unit),
+        config=config,
+        cache=_cache(args),
+        mitigation=args.mitigation,
+    )
+    report = engine.run(resume=args.resume)
     print(report.summary(), file=out)
     if engine.resumed_shards:
         print(f"  resumed {len(engine.resumed_shards)} shard(s) from "
@@ -833,16 +773,7 @@ def cmd_campaign(args, out) -> int:
               file=out)
     if engine.report_path is not None:
         print(f"  report cached at {engine.report_path}", file=out)
-    if args.report:
-        with open(args.report, "w") as fp:
-            fp.write(report.to_json())
-        print(f"  report written to {args.report}", file=out)
-    if args.trace:
-        tele.write_jsonl(args.trace)
-        print(f"  trace written to {args.trace}", file=out)
-    if args.metrics:
-        print(file=out)
-        print(tele.summary_markdown(), file=out)
+    _write_report(args, report, out)
     return 0
 
 
@@ -887,9 +818,7 @@ def _print_validation(report, out) -> None:
           f"slack spearman: {report.slack_spearman:.3f}", file=out)
 
 
-def _surrogate_dataset(args, unit, tele, out):
-    from .core import telemetry
-    from .core.artifacts import ArtifactCache
+def _surrogate_dataset(args, unit, out):
     from .core.config import SurrogateConfig
     from .netlist.cells import VEGA28
     from .surrogate import generate_dataset
@@ -897,11 +826,9 @@ def _surrogate_dataset(args, unit, tele, out):
     config = SurrogateConfig(
         samples=args.samples, seed=args.seed, workers=args.workers
     )
-    cache = None if args.no_cache else ArtifactCache(args.cache_dir)
-    with telemetry.use(tele):
-        dataset = generate_dataset(
-            unit.netlist, VEGA28, unit.sp_profile, config, cache=cache
-        )
+    dataset = generate_dataset(
+        unit.netlist, VEGA28, unit.sp_profile, config, cache=_cache(args)
+    )
     print(f"dataset: {len(dataset.rows)} labeled row(s) on {args.unit} "
           f"(digest {dataset.digest()[:16]})", file=out)
     return config, dataset
@@ -922,20 +849,16 @@ def _load_surrogate(path, verb):
 def cmd_surrogate(args, out) -> int:
     import json
 
-    from .core import telemetry
     from .surrogate import SurrogateValidationError
 
-    ctx = default_context()
-    unit = ctx.unit(args.unit)
-    tele = telemetry.Telemetry()
+    unit = default_context().unit(args.unit)
 
     if args.surrogate_command == "train":
         from .surrogate import train_surrogate
 
-        config, dataset = _surrogate_dataset(args, unit, tele, out)
+        config, dataset = _surrogate_dataset(args, unit, out)
         try:
-            with telemetry.use(tele):
-                model, report = train_surrogate(dataset, config)
+            model, report = train_surrogate(dataset, config)
         except SurrogateValidationError as exc:
             print(f"surrogate train: {exc}", file=sys.stderr)
             return 1
@@ -953,7 +876,7 @@ def cmd_surrogate(args, out) -> int:
         model = _load_surrogate(args.model, "validate")
         if model is None:
             return 2
-        config, dataset = _surrogate_dataset(args, unit, tele, out)
+        config, dataset = _surrogate_dataset(args, unit, out)
         _, holdout_rows = dataset.split(
             config.holdout_fraction, config.seed
         )
@@ -976,43 +899,37 @@ def cmd_surrogate(args, out) -> int:
     model = _load_surrogate(args.model, "triage")
     if model is None:
         return 2
-    suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     config = CampaignConfig(
-        devices=args.devices, seed=args.seed, suites=suites
+        devices=args.devices, seed=args.seed, suites=_csv(args.suites)
     )
     surrogate = SurrogateConfig(seed=args.surrogate_seed)
     models = unit.failure_models()
     library = unit.suite(args.mitigation)
-    with telemetry.use(tele):
-        outcome, report = run_surrogate_campaign(
-            unit.netlist,
-            args.unit,
-            library,
-            VEGA28,
-            unit.sp_profile,
-            models,
-            model,
-            config=config,
-            surrogate=surrogate,
-        )
+    outcome, report = run_surrogate_campaign(
+        unit.netlist,
+        args.unit,
+        library,
+        VEGA28,
+        unit.sp_profile,
+        models,
+        model,
+        config=config,
+        surrogate=surrogate,
+    )
     print(f"triage: {len(outcome.cleared)} cleared, "
           f"{len(outcome.flagged)} flagged of {config.devices} device(s) "
           f"(threshold {outcome.threshold:.3f}y)", file=out)
     print(report.summary(), file=out)
-    if args.report:
-        with open(args.report, "w") as fp:
-            fp.write(report.to_json())
-        print(f"  tail report written to {args.report}", file=out)
+    _write_report(args, report, out, label="tail report")
     if args.verify_exact:
-        with telemetry.use(tele):
-            exact = profiled_fleet(
-                unit.netlist, VEGA28, unit.sp_profile, models,
-                config, surrogate,
-            )
-            exact_report = CampaignEngine(
-                unit.netlist, args.unit, library, models,
-                config=config, fleet=exact,
-            ).run()
+        exact = profiled_fleet(
+            unit.netlist, VEGA28, unit.sp_profile, models,
+            config, surrogate,
+        )
+        exact_report = CampaignEngine(
+            unit.netlist, args.unit, library, models,
+            config=config, fleet=exact,
+        ).run()
         flagged_ids = {d.device_id for d in outcome.flagged}
         exact_rows = [
             row for row in exact_report.device_rows
@@ -1030,16 +947,22 @@ def cmd_surrogate(args, out) -> int:
 
 
 def _scheduler_session(args):
-    """Build a ScheduleSession from shared serve/schedule arguments."""
-    from .core.artifacts import ArtifactCache
+    """Build a ScheduleSession from shared serve/schedule arguments.
+
+    Returns None, after an error message, for an unknown policy.
+    """
     from .core.config import CampaignConfig, SchedulerConfig
     from .scheduler import ScheduleSession
+    from .scheduler.policy import POLICIES
 
-    suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
+    if args.policy not in POLICIES:
+        print(f"unknown policy {args.policy!r} "
+              f"(known: {', '.join(sorted(POLICIES))})", file=sys.stderr)
+        return None
     config = CampaignConfig(
         devices=args.devices,
         seed=args.seed,
-        suites=suites,
+        suites=_csv(args.suites),
         strategy=args.strategy,
         base_onset_years=args.onset_years,
     )
@@ -1052,94 +975,72 @@ def _scheduler_session(args):
         checkpoint_every=args.checkpoint_every,
         cycle_budget=args.budget,
     )
-    cache = None if args.no_cache else ArtifactCache(args.cache_dir)
-    ctx = default_context()
     return ScheduleSession.for_unit(
-        ctx.unit(args.unit),
+        default_context().unit(args.unit),
         config=config,
         scheduler=scheduler,
-        cache=cache,
+        cache=_cache(args),
         mitigation=args.mitigation,
     )
 
 
 def cmd_serve(args, out) -> int:
-    from .scheduler.policy import POLICIES
-
-    if args.policy not in POLICIES:
-        print(f"unknown policy {args.policy!r} "
-              f"(known: {', '.join(sorted(POLICIES))})", file=sys.stderr)
-        return 2
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
-    if args.metrics_port is None:
-        return _serve_run(args, out)
     import time
 
     from .core import telemetry
 
-    # Scoped, so an in-process caller (tests, embedding) gets its
-    # global telemetry state back afterwards.
-    with telemetry.use(telemetry.Telemetry(run_id="serve")):
+    session = _scheduler_session(args)
+    if session is None:
+        return 2
+    server = None
+    if args.metrics_port is not None:
+        # Renders the counters of the telemetry main() installed.
         server = telemetry.MetricsServer(port=args.metrics_port).start()
         print(f"/metrics on http://{server.host}:{server.port}/metrics",
               file=out)
         out.flush()
-        try:
-            status = _serve_run(args, out)
-            if args.metrics_linger > 0:
-                print(f"  /metrics stays up for {args.metrics_linger:g}s",
-                      file=out)
-                out.flush()
-                time.sleep(args.metrics_linger)
-        finally:
+    try:
+        outcome = session.run(
+            resume=args.resume, kill_after_events=args.kill_after
+        )
+        report = outcome.report
+        state = "killed" if outcome.killed else "drained"
+        print(f"service {state}: {report.events} result(s) ingested over "
+              f"{report.ticks} tick(s), policy={report.policy}", file=out)
+        if outcome.resumed:
+            print("  resumed from belief checkpoint", file=out)
+        print(f"  devices={report.devices} detected={report.detected} "
+              f"escapes={report.escapes}", file=out)
+        print(f"  belief checkpoint key: {outcome.checkpoint_key[:16]}…",
+              file=out)
+        print(f"  belief digest: {outcome.belief.digest()}", file=out)
+        if args.log:
+            outcome.log.write_jsonl(args.log)
+            print(f"  event log written to {args.log}", file=out)
+        if server is not None and args.metrics_linger > 0:
+            print(f"  /metrics stays up for {args.metrics_linger:g}s",
+                  file=out)
+            out.flush()
+            time.sleep(args.metrics_linger)
+    finally:
+        if server is not None:
             server.stop()
-    return status
-
-
-def _serve_run(args, out) -> int:
-    session = _scheduler_session(args)
-    outcome = session.run(
-        resume=args.resume, kill_after_events=args.kill_after
-    )
-    report = outcome.report
-    state = "killed" if outcome.killed else "drained"
-    print(f"service {state}: {report.events} result(s) ingested over "
-          f"{report.ticks} tick(s), policy={report.policy}", file=out)
-    if outcome.resumed:
-        print("  resumed from belief checkpoint", file=out)
-    print(f"  devices={report.devices} detected={report.detected} "
-          f"escapes={report.escapes}", file=out)
-    print(f"  belief checkpoint key: {outcome.checkpoint_key[:16]}…",
-          file=out)
-    print(f"  belief digest: {outcome.belief.digest()}", file=out)
-    if args.log:
-        outcome.log.write_jsonl(args.log)
-        print(f"  event log written to {args.log}", file=out)
     return 0
 
 
 def cmd_schedule(args, out) -> int:
     from .scheduler import verify_replay
-    from .scheduler.policy import POLICIES
 
-    if args.policy not in POLICIES:
-        print(f"unknown policy {args.policy!r} "
-              f"(known: {', '.join(sorted(POLICIES))})", file=sys.stderr)
-        return 2
     session = _scheduler_session(args)
+    if session is None:
+        return 2
     outcome = session.run()
     for line in outcome.report.summary_lines():
         print(line, file=out)
     if args.log:
         outcome.log.write_jsonl(args.log)
         print(f"  event log written to {args.log}", file=out)
-    if args.report:
-        with open(args.report, "w") as fp:
-            fp.write(outcome.report.to_json())
-        print(f"  report written to {args.report}", file=out)
+    _write_report(args, outcome.report, out)
     if args.verify_replay:
         matches, _ = verify_replay(session, outcome)
         print(f"  replay: {'byte-identical' if matches else 'DIVERGED'}",
@@ -1196,15 +1097,9 @@ def cmd_attack(args, out) -> int:
         derive_base_onset,
         sample_attack_fleet,
     )
-    from .core import telemetry
-    from .core.artifacts import ArtifactCache
     from .core.config import AdversaryConfig
 
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
-    cache = None if args.no_cache else ArtifactCache(args.cache_dir)
+    cache = _cache(args)
     adv_config = AdversaryConfig(
         seed=args.attack_seed,
         candidates=args.candidates,
@@ -1215,93 +1110,68 @@ def cmd_attack(args, out) -> int:
         lanes=args.lanes,
         workers=args.workers,
     )
-    ctx = default_context()
-    unit = ctx.unit(args.unit)
-    tele = telemetry.Telemetry()
-    with telemetry.use(tele):
-        pairs = unit.sta_result.report.unique_endpoint_pairs()
-        search = AttackSearch(
-            unit.netlist, args.unit, unit.sp_profile, pairs,
-            config=adv_config, cache=cache,
-        )
-        result, _best_stream = search.run(resume=args.resume)
-        report = None
-        if args.attack_command == "run":
-            from .campaign import CampaignEngine
-            from .campaign.fleet import sample_fleet
-            from .core.config import CampaignConfig
+    unit = default_context().unit(args.unit)
+    pairs = unit.sta_result.report.unique_endpoint_pairs()
+    search = AttackSearch(
+        unit.netlist, args.unit, unit.sp_profile, pairs,
+        config=adv_config, cache=cache,
+    )
+    result, _best_stream = search.run(resume=args.resume)
+    report = None
+    if args.attack_command == "run":
+        from .campaign import CampaignEngine
+        from .campaign.fleet import sample_fleet
+        from .core.config import CampaignConfig
 
-            suites = tuple(
-                s.strip() for s in args.suites.split(",") if s.strip()
+        config = CampaignConfig(
+            devices=args.devices,
+            seed=args.seed,
+            shard_size=args.shard_size,
+            workers=args.workers,
+            suites=_csv(args.suites),
+            base_onset_years=args.onset_years,
+        )
+        base = derive_base_onset(unit, config)
+        models = unit.failure_models()
+        library = unit.suite(args.mitigation)
+        natural_fleet = sample_fleet(config, models, base)
+        attack_fleet = sample_attack_fleet(
+            config, models, base, result.acceleration,
+            attack_fraction=args.attack_fraction,
+            attack_seed=args.attack_seed,
+        )
+        campaigns = []
+        for fleet in (natural_fleet, attack_fleet):
+            engine = CampaignEngine(
+                unit.netlist, args.unit, library, models,
+                config=config, cache=cache, base_onset_years=base,
+                fleet=fleet,
             )
-            config = CampaignConfig(
-                devices=args.devices,
-                seed=args.seed,
-                shard_size=args.shard_size,
-                workers=args.workers,
-                suites=suites,
-                base_onset_years=args.onset_years,
-            )
-            base = derive_base_onset(unit, config)
-            models = unit.failure_models()
-            library = unit.suite(args.mitigation)
-            natural_fleet = sample_fleet(config, models, base)
-            attack_fleet = sample_attack_fleet(
-                config, models, base, result.acceleration,
-                attack_fraction=args.attack_fraction,
-                attack_seed=args.attack_seed,
-            )
-            campaigns = []
-            for fleet in (natural_fleet, attack_fleet):
-                engine = CampaignEngine(
-                    unit.netlist, args.unit, library, models,
-                    config=config, cache=cache, base_onset_years=base,
-                    fleet=fleet,
-                )
-                campaigns.append(engine.run(resume=args.resume))
-            report = AttackReport.from_campaigns(
-                result, natural_fleet, attack_fleet,
-                campaigns[0], campaigns[1],
-                attack_fraction=args.attack_fraction,
-                attack_seed=args.attack_seed,
-                budget_instructions=config.max_suite_instructions,
-            )
+            campaigns.append(engine.run(resume=args.resume))
+        report = AttackReport.from_campaigns(
+            result, natural_fleet, attack_fleet,
+            campaigns[0], campaigns[1],
+            attack_fraction=args.attack_fraction,
+            attack_seed=args.attack_seed,
+            budget_instructions=config.max_suite_instructions,
+        )
     print(result.summary(), file=out)
     if search.resumed_rounds:
         print(f"  resumed from round checkpoint "
               f"(skipped {search.resumed_rounds} round(s))", file=out)
     if report is not None:
         print(report.summary(), file=out)
-    if args.report:
-        with open(args.report, "w") as fp:
-            fp.write((report or result).to_json())
-        print(f"  report written to {args.report}", file=out)
-    if args.trace:
-        tele.write_jsonl(args.trace)
-        print(f"  trace written to {args.trace}", file=out)
-    if args.metrics:
-        print(file=out)
-        print(tele.summary_markdown(), file=out)
+    _write_report(args, report or result, out)
     return 0
 
 
 def cmd_respond(args, out) -> int:
-    from .core import telemetry
-    from .core.artifacts import ArtifactCache
     from .core.config import ResponseConfig
     from .core.experiments import CLOCK_CHAIN_LENGTH
     from .response import ResponseEngine
 
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
-    cache = None if args.no_cache else ArtifactCache(args.cache_dir)
-    policies = tuple(
-        p.strip() for p in args.policies.split(",") if p.strip()
-    )
     config = ResponseConfig(
-        policies=policies,
+        policies=_csv(args.policies),
         mission_years=args.mission_years,
         accuracy_samples=args.accuracy_samples,
         seed=args.seed,
@@ -1309,61 +1179,53 @@ def cmd_respond(args, out) -> int:
     )
     ctx = default_context()
     unit = ctx.unit(args.unit)
-    tele = telemetry.Telemetry()
-    with telemetry.use(tele):
-        engine = ResponseEngine(
-            unit.netlist,
-            args.unit,
-            unit.sp_profile,
-            aging=ctx.config.aging,
-            config=config,
-            gated_instances=unit.gated_instances(),
-            clock_chain_length=CLOCK_CHAIN_LENGTH,
-            cache=cache,
-            operands=ctx.stream(args.unit),
-        )
-        report = engine.evaluate(resume=args.resume)
+    engine = ResponseEngine(
+        unit.netlist,
+        args.unit,
+        unit.sp_profile,
+        aging=ctx.config.aging,
+        config=config,
+        gated_instances=unit.gated_instances(),
+        clock_chain_length=CLOCK_CHAIN_LENGTH,
+        cache=_cache(args),
+        operands=ctx.stream(args.unit),
+    )
+    report = engine.evaluate(resume=args.resume)
     print(report.summary(), file=out)
     if engine.resumed_policies:
         print(f"  resumed from checkpoints: "
               f"{', '.join(engine.resumed_policies)}", file=out)
-    if args.report:
-        with open(args.report, "w") as fp:
-            fp.write(report.to_json())
-        print(f"  report written to {args.report}", file=out)
-    if args.trace:
-        tele.write_jsonl(args.trace)
-        print(f"  trace written to {args.trace}", file=out)
-    if args.metrics:
-        print(file=out)
-        print(tele.summary_markdown(), file=out)
+    _write_report(args, report, out)
     return 0
 
 
 def main(argv: Optional[list] = None, out=sys.stdout) -> int:
+    """Parse ``argv`` and run its verb under one scoped ``Telemetry``.
+
+    Every verb records into a fresh instance that is active only for
+    the call, so an in-process caller gets its own active telemetry
+    back.  After a verb exits 0, ``--trace`` writes that instance's
+    JSONL trace and ``--metrics`` prints its markdown summary.
+    """
+    from .core import telemetry
+
     args = build_parser().parse_args(argv)
-    handler = {
-        "workloads": cmd_workloads,
-        "run": cmd_run,
-        "trace": cmd_trace,
-        "profile": cmd_profile,
-        "sta": cmd_sta,
-        "lift": cmd_lift,
-        "suite": cmd_suite,
-        "inject": cmd_inject,
-        "detect": cmd_detect,
-        "verify": cmd_verify,
-        "models": cmd_models,
-        "campaign": cmd_campaign,
-        "bench": cmd_bench,
-        "surrogate": cmd_surrogate,
-        "attack": cmd_attack,
-        "respond": cmd_respond,
-        "serve": cmd_serve,
-        "schedule": cmd_schedule,
-        "integrate": cmd_integrate,
-    }[args.command]
-    return handler(args, out)
+    if getattr(args, "resume", False) and getattr(args, "no_cache", False):
+        print("--resume needs the artifact cache (drop --no-cache)",
+              file=sys.stderr)
+        return 2
+    handler = globals()[f"cmd_{args.command}"]
+    with telemetry.use(telemetry.Telemetry()) as tele:
+        status = handler(args, out)
+    if status != 0:
+        return status
+    if getattr(args, "trace", None):
+        tele.write_jsonl(args.trace)
+        print(f"  trace written to {args.trace}", file=out)
+    if getattr(args, "metrics", False):
+        print(file=out)
+        print(tele.summary_markdown(), file=out)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

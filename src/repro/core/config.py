@@ -398,6 +398,14 @@ class SchedulerConfig:
     cycle_budget: int = 25_000
     fleet_blend: float = 0.5
 
+    def __post_init__(self) -> None:
+        # A zero batch would slice no requests on every tick and never
+        # drain the fleet.
+        if self.batch_size < 1:
+            raise ValueError(
+                f"batch_size must be >= 1, got {self.batch_size}"
+            )
+
 
 @dataclass
 class VegaConfig:

@@ -241,7 +241,7 @@ class DetectionService:
         saturated fleet's clients spread their retries instead of
         hammering every tick.
         """
-        batch = max(1, self.config.batch_size)
+        batch = self.config.batch_size
         backlog_passes = -(-len(self._buffer) // batch)  # ceil
         if self._outstanding:
             # Results still in flight: they land in the buffer and

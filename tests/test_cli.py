@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
+import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +92,34 @@ class TestCli:
         assert "optimizer" in text
 
 
+def _flag_inventory(parser, path=()):
+    """(verb path, option strings, dest, default, required) per argument."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _flag_inventory(sub, path + (name,))
+        elif not isinstance(action, argparse._HelpAction):
+            yield [
+                " ".join(path),
+                list(action.option_strings),
+                action.dest,
+                action.default,
+                action.required,
+            ]
+
+
+class TestFlagInventory:
+    def test_every_flag_keeps_its_name_dest_and_default(self):
+        """The public flag surface is pinned: CI, the README and user
+        scripts drive these names, so no refactor may rename, re-default
+        or drop one.  Regenerate tests/cli_flags.json only for a
+        deliberate interface change."""
+        pinned = json.loads(
+            (Path(__file__).parent / "cli_flags.json").read_text()
+        )
+        assert sorted(_flag_inventory(build_parser())) == pinned
+
+
 class TestRunAndTrace:
     def test_run_traces_and_resumes(self, tmp_path):
         from repro.core import telemetry
@@ -132,6 +163,24 @@ class TestRunAndTrace:
         code, _ = _run(["run", "--unit", "alu", "--resume", "--no-cache"])
         assert code == 2
 
+    def test_summarize_missing_file_is_not_called_empty(
+        self, tmp_path, capsys
+    ):
+        # Only an existing empty file is "empty"; a missing path that
+        # happens to contain the word is unreadable.
+        missing = tmp_path / "empty-runs" / "missing.jsonl"
+        code, _ = _run(["trace", "summarize", str(missing)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid trace: cannot read trace")
+        assert "no spans recorded" not in err
+
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, _ = _run(["trace", "summarize", str(empty)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("no spans recorded")
+
     def test_summarize_rejects_invalid_trace(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json}\n")
@@ -139,6 +188,109 @@ class TestRunAndTrace:
         assert code == 1
         code, _ = _run(["trace", "summarize", str(tmp_path / "missing")])
         assert code == 1
+
+
+class TestVerbTelemetry:
+    """main() runs every verb under one scoped Telemetry and writes
+    --trace / --metrics from it after the verb exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv, root_span",
+        [
+            (["campaign", "run", "--devices", "4", "--shard-size", "2",
+              "--onset-years", "6"], "campaign.run"),
+            (["attack", "search", "--candidates", "2", "--rounds", "1",
+              "--beam", "1", "--stream-ops", "16", "--lanes", "8"],
+             "adversary.search"),
+            (["respond", "--policies", "derate",
+              "--accuracy-samples", "8"], "response.evaluate"),
+        ],
+        ids=["campaign-run", "attack-search", "respond"],
+    )
+    def test_traced_verb_writes_trace_and_metrics(
+        self, tmp_path, argv, root_span
+    ):
+        from repro.core import telemetry
+
+        trace = str(tmp_path / "trace.jsonl")
+        code, text = _run(
+            argv + ["--unit", "alu", "--cache-dir", str(tmp_path / "cache"),
+                    "--trace", trace, "--metrics"]
+        )
+        assert code == 0
+        assert f"  trace written to {trace}" in text
+        assert "# Vega run metrics" in text
+        records = telemetry.read_trace(trace)
+        roots = {
+            r["name"]
+            for r in records
+            if r["type"] == "span" and r.get("parent") is None
+        }
+        assert root_span in roots
+
+    @staticmethod
+    def _fake_verb(status):
+        def handler(args, out):
+            from repro.core import telemetry
+
+            with telemetry.span("fake.verb"):
+                telemetry.add("fake.count")
+            return status
+
+        return handler
+
+    def test_failed_verb_writes_no_trace(self, tmp_path, monkeypatch):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "cmd_run", self._fake_verb(1))
+        trace = tmp_path / "trace.jsonl"
+        code, text = _run(["run", "--trace", str(trace), "--metrics"])
+        assert code == 1
+        assert not trace.exists()
+        assert text == ""
+
+    def test_caller_telemetry_is_restored(self, tmp_path, monkeypatch):
+        from repro import cli
+        from repro.core import telemetry
+
+        monkeypatch.setattr(cli, "cmd_run", self._fake_verb(0))
+        trace = str(tmp_path / "trace.jsonl")
+        outer = telemetry.Telemetry(run_id="caller")
+        with telemetry.use(outer):
+            code, _ = _run(["run", "--trace", trace])
+            assert telemetry.active() is outer
+        assert code == 0
+        assert outer.records == [] and outer.counters == {}
+        records = telemetry.read_trace(trace)
+        assert [r["name"] for r in records if r["type"] == "span"] == [
+            "fake.verb"
+        ]
+        assert records[-1]["counters"] == {"fake.count": 1}
+
+
+class TestCountFlags:
+    """Counts that must be >= 1 fail at parse time with exit 2 instead
+    of crashing (or, for --batch-size, never terminating) later."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "--shard-size", "0"],
+            ["attack", "run", "--shard-size", "0"],
+            ["attack", "search", "--lanes", "0"],
+            ["attack", "search", "--candidates", "0"],
+            ["attack", "search", "--beam", "0"],
+            ["attack", "search", "--stream-ops", "0"],
+            ["schedule", "--batch-size", "0"],
+            ["serve", "--batch-size", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[:-1]),
+    )
+    def test_zero_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestCampaignCli:

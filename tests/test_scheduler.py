@@ -553,6 +553,15 @@ class TestScheduleSession:
 # ---------------------------------------------------------------------
 # Service bookkeeping: retry hints, drain accounting
 # ---------------------------------------------------------------------
+class TestSchedulerConfig:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        # A zero batch would slice no requests on every tick and never
+        # drain the fleet.
+        with pytest.raises(ValueError, match="batch_size"):
+            SchedulerConfig(batch_size=batch_size)
+
+
 class TestRetryHintInFlight:
     def test_hint_accounts_for_outstanding_batch(self):
         service, fleet = _service()
