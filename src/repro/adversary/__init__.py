@@ -23,7 +23,6 @@ a deterministic scenario engine:
 from .fleet import (
     accelerate_fleet,
     attack_device_prior,
-    derive_base_onset,
     sample_attack_fleet,
 )
 from .report import AttackReport
@@ -44,7 +43,6 @@ __all__ = [
     "AttackTarget",
     "accelerate_fleet",
     "attack_device_prior",
-    "derive_base_onset",
     "generate_candidate",
     "mutate_candidate",
     "sample_attack_fleet",

@@ -13,43 +13,13 @@ prefilter) via the ``fleet=`` override.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..campaign.fleet import DeviceSpec, assign_model, device_draw
 from ..core.config import CampaignConfig
 from ..core.rng import stream_rng, stream_seed
 from ..lifting.models import FailureModel
 from ..scheduler.belief import BROAD_CLASS
-
-
-def derive_base_onset(
-    unit_experiment,
-    config: CampaignConfig,
-    onset_sweep_years: Sequence[float] = (2.5, 5.0, 7.5, 10.0),
-) -> float:
-    """Fleet-median onset for a unit, as the campaign engine derives it.
-
-    Mirrors :meth:`repro.campaign.engine.CampaignEngine.for_unit`:
-    honour a pinned ``base_onset_years``, else take the first onset of
-    a coarse lifetime sweep, else fall back to the mission midpoint.
-    """
-    if config.base_onset_years is not None:
-        return float(config.base_onset_years)
-    from ..core.experiments import CLOCK_CHAIN_LENGTH
-    from ..core.lifetime import LifetimeSimulator
-
-    simulator = LifetimeSimulator(
-        unit_experiment.netlist,
-        unit_experiment.sp_profile,
-        config=unit_experiment.context.config.aging,
-        gated_instances=unit_experiment.gated_instances(),
-        clock_chain_length=CLOCK_CHAIN_LENGTH,
-    )
-    sweep = simulator.sweep(list(onset_sweep_years))
-    base = sweep.first_onset_years
-    if base is None:
-        base = 0.6 * config.mission_years
-    return float(base)
 
 
 def sample_attack_fleet(

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.random_tests import random_suite
 from ..baselines.silifuzz_lite import SiliFuzzLite
-from ..core import telemetry
+from ..core import lifetime, telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import CampaignConfig
 from ..core.pool import fork_map
@@ -385,10 +385,7 @@ class CampaignEngine:
         #: execution/checkpoint/report machinery is shared unchanged.
         self.fleet = list(fleet) if fleet is not None else None
         if base_onset_years is None:
-            base_onset_years = self.config.base_onset_years
-        if base_onset_years is None:
-            # No sweep and no config value: assume mid-life onset.
-            base_onset_years = 0.6 * self.config.mission_years
+            base_onset_years = lifetime.base_onset_years(self.config)
         self.base_onset_years = float(base_onset_years)
         self.executed_shards: List[int] = []
         self.resumed_shards: List[int] = []
@@ -402,34 +399,16 @@ class CampaignEngine:
         config: Optional[CampaignConfig] = None,
         cache: Optional[ArtifactCache] = None,
         mitigation: bool = False,
-        onset_sweep_years: Sequence[float] = (2.5, 5.0, 7.5, 10.0),
     ) -> "CampaignEngine":
         """Engine over a :class:`~repro.core.experiments.UnitExperiment`.
 
         Pulls the unit's vega library and constructed failure-model
-        catalogue from the cached pipeline; when the config does not
-        pin ``base_onset_years``, derives it from a coarse
-        :class:`~repro.core.lifetime.LifetimeSimulator` sweep (first
-        onset across ``onset_sweep_years``, falling back to the mission
-        midpoint if nothing onsets inside the sweep).
+        catalogue from the cached pipeline; the base onset follows
+        :func:`repro.core.lifetime.base_onset_years` (pinned, else the
+        unit's coarse lifetime sweep).
         """
         config = config or CampaignConfig()
-        base = config.base_onset_years
-        if base is None:
-            from ..core.experiments import CLOCK_CHAIN_LENGTH
-            from ..core.lifetime import LifetimeSimulator
-
-            simulator = LifetimeSimulator(
-                unit_experiment.netlist,
-                unit_experiment.sp_profile,
-                config=unit_experiment.context.config.aging,
-                gated_instances=unit_experiment.gated_instances(),
-                clock_chain_length=CLOCK_CHAIN_LENGTH,
-            )
-            sweep = simulator.sweep(list(onset_sweep_years))
-            base = sweep.first_onset_years
-            if base is None:
-                base = 0.6 * config.mission_years
+        base = lifetime.base_onset_years(config, unit_experiment)
         return cls(
             unit_experiment.netlist,
             unit_experiment.unit,

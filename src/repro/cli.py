@@ -1094,7 +1094,6 @@ def cmd_attack(args, out) -> int:
     from .adversary import (
         AttackReport,
         AttackSearch,
-        derive_base_onset,
         sample_attack_fleet,
     )
     from .core.config import AdversaryConfig
@@ -1122,6 +1121,7 @@ def cmd_attack(args, out) -> int:
         from .campaign import CampaignEngine
         from .campaign.fleet import sample_fleet
         from .core.config import CampaignConfig
+        from .core.lifetime import base_onset_years
 
         config = CampaignConfig(
             devices=args.devices,
@@ -1131,7 +1131,7 @@ def cmd_attack(args, out) -> int:
             suites=_csv(args.suites),
             base_onset_years=args.onset_years,
         )
-        base = derive_base_onset(unit, config)
+        base = base_onset_years(config, unit)
         models = unit.failure_models()
         library = unit.suite(args.mitigation)
         natural_fleet = sample_fleet(config, models, base)

@@ -19,11 +19,12 @@ SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
 class AgingAnalysisConfig:
     """Phase 1 — SP profiling and aging-aware STA.
 
+    Aging libraries are characterized at the STA corner's temperature
+    (105 degC at the sign-off corner), not at a setting of their own.
+
     Attributes:
         lifetime_years: Assumed mission lifetime; the paper uses the
             10-year figure common for mission-critical parts (AEC Q100).
-        temperature_c: Worst-case junction temperature for the
-            reaction-diffusion model.
         clock_margin: Fraction of post-synthesis slack retained when the
             design's target period is derived.  Real flows sign off with
             a few percent of positive slack; aging must be able to eat
@@ -45,7 +46,6 @@ class AgingAnalysisConfig:
     """
 
     lifetime_years: float = 10.0
-    temperature_c: float = 105.0
     clock_margin: float = 0.03
     max_paths_per_endpoint: int = 400
     clock_gating_sp: float = 0.02

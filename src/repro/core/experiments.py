@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..aging.charlib import AgingTimingLibrary
+from ..aging.corners import WORST_CORNER
 from ..baselines.random_tests import random_suite
 from ..core.config import (
     AgingAnalysisConfig,
@@ -352,7 +353,7 @@ class ExperimentContext:
             self._timing_lib = AgingTimingLibrary.characterize(
                 VEGA28,
                 lifetime_years=self.config.aging.lifetime_years,
-                temperature_c=self.config.aging.temperature_c,
+                temperature_c=WORST_CORNER.temperature_c,
             )
         return self._timing_lib
 

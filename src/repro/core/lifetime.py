@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..aging.charlib import AgingTimingLibrary
-from ..core.config import AgingAnalysisConfig
+from ..core.config import AgingAnalysisConfig, CampaignConfig
 from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile
 from ..sta.aging_sta import AgingAwareSta
@@ -90,25 +89,26 @@ class LifetimeSimulator:
         config: Optional[AgingAnalysisConfig] = None,
         gated_instances=None,
         clock_chain_length: int = 1,
-        temperature_c: float = 105.0,
     ):
         self.netlist = netlist
         self.profile = profile
-        self.config = config or AgingAnalysisConfig()
-        self.gated_instances = gated_instances
-        self.clock_chain_length = clock_chain_length
-        self.temperature_c = temperature_c
+        self.sta = AgingAwareSta(
+            netlist,
+            config=config,
+            gated_instances=gated_instances,
+            clock_chain_length=clock_chain_length,
+        )
 
     def sweep(self, years: Sequence[float]) -> LifetimeReport:
         """Run aging-aware STA at each age; record WNS and onsets."""
         report = LifetimeReport(netlist_name=self.netlist.name)
         # The sign-off period is age-independent: derived once, fresh.
-        base_sta = self._sta(lifetime_years=years[0])
-        period = base_sta.derive_period()
+        period = self.sta.derive_period()
         seen_pairs = set()
         for age in years:
-            sta = self._sta(lifetime_years=age)
-            result = sta.analyze(self.profile, clock_period_ns=period)
+            result = self.sta.at_age(age).analyze(
+                self.profile, clock_period_ns=period
+            )
             aged = result.report
             report.years.append(age)
             report.wns_by_year[age] = aged.wns_setup_ns
@@ -129,16 +129,28 @@ class LifetimeSimulator:
                 )
         return report
 
-    def _sta(self, lifetime_years: float) -> AgingAwareSta:
-        timing_lib = AgingTimingLibrary.characterize(
-            self.netlist.library,
-            lifetime_years=lifetime_years,
-            temperature_c=self.temperature_c,
-        )
-        return AgingAwareSta(
-            self.netlist,
-            timing_lib,
-            config=self.config,
-            gated_instances=self.gated_instances,
-            clock_chain_length=self.clock_chain_length,
-        )
+
+def base_onset_years(config: CampaignConfig, unit_experiment=None) -> float:
+    """Fleet-median violation onset a campaign samples its fleet around.
+
+    The pinned ``config.base_onset_years`` wins; else the first onset of
+    a coarse :class:`LifetimeSimulator` sweep of ``unit_experiment``
+    (a :class:`~repro.core.experiments.UnitExperiment`); else, with no
+    unit or no onset inside the sweep, mid-life at 0.6 x the mission.
+    """
+    if config.base_onset_years is not None:
+        return float(config.base_onset_years)
+    onset = None
+    if unit_experiment is not None:
+        from ..core.experiments import CLOCK_CHAIN_LENGTH
+
+        onset = LifetimeSimulator(
+            unit_experiment.netlist,
+            unit_experiment.sp_profile,
+            config=unit_experiment.context.config.aging,
+            gated_instances=unit_experiment.gated_instances(),
+            clock_chain_length=CLOCK_CHAIN_LENGTH,
+        ).sweep((2.5, 5.0, 7.5, 10.0)).first_onset_years
+    if onset is None:
+        onset = 0.6 * config.mission_years
+    return float(onset)

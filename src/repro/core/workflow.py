@@ -170,7 +170,6 @@ class VegaWorkflow:
 
         sta = AgingAwareSta(
             netlist,
-            None,  # timing library characterized lazily on cache miss
             config=aging,
             gated_instances=gated_instances,
         )
@@ -195,7 +194,7 @@ class VegaWorkflow:
                 or ArtifactCache.digest("sp", sorted(profile.sp.items())),
                 sta.corner.name,
                 aging.lifetime_years,
-                aging.temperature_c,
+                sta.corner.temperature_c,
                 aging.clock_gating_sp,
                 gated_key,
             )
@@ -203,13 +202,7 @@ class VegaWorkflow:
             if cached is not None:
                 aged_model, increase = cached
         if aged_model is None:
-            from ..aging.charlib import AgingTimingLibrary
-
-            sta.timing_lib = AgingTimingLibrary.characterize(
-                netlist.library,
-                lifetime_years=aging.lifetime_years,
-                temperature_c=aging.temperature_c,
-            )
+            sta.at_age(aging.lifetime_years)
             aged_model, increase = sta.aged_delay_model(profile)
             if cache is not None:
                 cache.store_delay_model(model_key, aged_model, increase)
@@ -273,6 +266,7 @@ class VegaWorkflow:
         """
         import collections.abc
 
+        from ..aging.corners import WORST_CORNER
         from .artifacts import ArtifactCache
 
         aging = self.config.aging
@@ -296,7 +290,7 @@ class VegaWorkflow:
             gated_key,
             [
                 aging.lifetime_years,
-                aging.temperature_c,
+                WORST_CORNER.temperature_c,
                 aging.clock_margin,
                 aging.max_paths_per_endpoint,
                 aging.clock_gating_sp,

@@ -1,10 +1,11 @@
 """The response engine: evaluate reconfiguration policies on aged timing.
 
-Every policy evaluation reduces to the same primitive the lifetime
-simulator uses — re-characterize the timing library at an age, build
-the aged delay model, run STA at a period — plus, for the structural
-policies, netlist clone surgery checked by the lifting engine's
-sequential equivalence machinery:
+Every policy evaluation reduces to the aged-timing primitive shared
+with the lifetime simulator and the surrogate's exact oracle —
+:meth:`~repro.sta.aging_sta.AgingAwareSta.at_age` selects the library
+characterized at an age, then aged STA runs at a period — plus, for
+the structural policies, netlist clone surgery checked by the lifting
+engine's sequential equivalence machinery:
 
 * ``derate`` re-runs the aged STA at progressively longer periods
   until the mission-age violations clear, then re-scans onset at the
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..aging.charlib import AgingTimingLibrary
 from ..core import telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import AgingAnalysisConfig, ResponseConfig
@@ -76,7 +76,6 @@ class ResponseEngine:
             ``approximate`` policy re-profiles its modified netlist
             with it (sharded across ``config.workers``) instead of
             reusing the original profile.
-        temperature_c: Characterization temperature.
     """
 
     def __init__(
@@ -90,7 +89,6 @@ class ResponseEngine:
         clock_chain_length: int = 1,
         cache: Optional[ArtifactCache] = None,
         operands: Optional[Sequence[Mapping[str, int]]] = None,
-        temperature_c: float = 105.0,
     ):
         self.netlist = netlist
         self.unit = unit
@@ -101,24 +99,10 @@ class ResponseEngine:
         self.clock_chain_length = clock_chain_length
         self.cache = cache
         self.operands = list(operands) if operands is not None else None
-        self.temperature_c = temperature_c
-        self._libs: Dict[float, AgingTimingLibrary] = {}
         self._stas: Dict[str, AgingAwareSta] = {}
         self.resumed_policies: List[str] = []
 
     # -- shared timing primitives ---------------------------------------
-    def _timing_lib(self, age: float) -> AgingTimingLibrary:
-        key = round(float(age), 6)
-        lib = self._libs.get(key)
-        if lib is None:
-            lib = AgingTimingLibrary.characterize(
-                self.netlist.library,
-                lifetime_years=key,
-                temperature_c=self.temperature_c,
-            )
-            self._libs[key] = lib
-        return lib
-
     def _sta_for(self, netlist: Netlist) -> AgingAwareSta:
         sta = self._stas.get(netlist.name)
         if sta is None:
@@ -145,8 +129,7 @@ class ResponseEngine:
         ``fresh_instances`` are modelled at their un-aged cell delays —
         the re-synthesis policy's "replaced cone" view.
         """
-        sta = self._sta_for(netlist)
-        sta.timing_lib = self._timing_lib(age)
+        sta = self._sta_for(netlist).at_age(age)
         model, increase = sta.aged_delay_model(profile)
         for name in fresh_instances:
             inst = netlist.instances.get(name)
@@ -206,7 +189,7 @@ class ResponseEngine:
             cfg.seed,
             self.aging.clock_margin,
             self.aging.max_paths_per_endpoint,
-            self.temperature_c,
+            self._sta_for(self.netlist).corner.temperature_c,
             (
                 ArtifactCache.stream_digest(self.operands)
                 if self.operands is not None

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.engine import DeviceRunner, device_outcome_key
 from ..campaign.fleet import DeviceSpec, fleet_digest, sample_fleet
-from ..core import telemetry
+from ..core import lifetime, telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import CampaignConfig, SchedulerConfig
 from ..integration.library_gen import AgingLibrary
@@ -362,9 +362,7 @@ class ScheduleSession:
         self.scheduler = scheduler or SchedulerConfig()
         self.cache = cache
         if base_onset_years is None:
-            base_onset_years = self.config.base_onset_years
-        if base_onset_years is None:
-            base_onset_years = 0.6 * self.config.mission_years
+            base_onset_years = lifetime.base_onset_years(self.config)
         self.base_onset_years = float(base_onset_years)
 
     @classmethod
@@ -377,7 +375,10 @@ class ScheduleSession:
         mitigation: bool = False,
     ) -> "ScheduleSession":
         """Session over a :class:`~repro.core.experiments.UnitExperiment`
-        (the same pipeline reuse as :meth:`CampaignEngine.for_unit`)."""
+        (the same pipeline reuse and base onset as
+        :meth:`CampaignEngine.for_unit`, so both sample one fleet)."""
+        config = config or CampaignConfig()
+        base = lifetime.base_onset_years(config, unit_experiment)
         return cls(
             unit_experiment.netlist,
             unit_experiment.unit,
@@ -386,6 +387,7 @@ class ScheduleSession:
             config=config,
             scheduler=scheduler,
             cache=cache,
+            base_onset_years=base,
         )
 
     # -- identity -------------------------------------------------------

@@ -5,6 +5,10 @@ library, this module updates every cell's timing to its 10-year aged
 value, ages the clock tree, and runs setup/hold STA at the pessimistic
 sign-off corner.  The result — the set of aging-prone paths and their
 unique endpoint pairs — is the input to Error Lifting.
+
+It is also the one place an age becomes aged timing: the lifetime
+sweep, the surrogate's exact oracle and the response engine all call
+:meth:`AgingAwareSta.at_age` and :meth:`AgingAwareSta.derive_period`.
 """
 
 from __future__ import annotations
@@ -49,19 +53,22 @@ class AgingAwareSta:
     def __init__(
         self,
         netlist: Netlist,
-        timing_lib: Optional[AgingTimingLibrary],
+        timing_lib: Optional[AgingTimingLibrary] = None,
         config: Optional[AgingAnalysisConfig] = None,
         corner: OperatingCorner = WORST_CORNER,
         gated_instances: Optional[Mapping[str, float] | Sequence[str]] = None,
         clock_fanout_per_leaf: int = 8,
         clock_chain_length: int = 1,
     ):
-        # ``timing_lib`` may be None when every analyze() call supplies a
-        # precomputed aged model (the artifact-cache hit path).
+        # ``timing_lib`` may be None until at_age() selects an age, or
+        # when every analyze() call supplies a precomputed aged model
+        # (the artifact-cache hit path).
         self.netlist = netlist
         self.timing_lib = timing_lib
         self.config = config or AgingAnalysisConfig()
         self.corner = corner
+        self._libs: Dict[float, AgingTimingLibrary] = {}
+        self._period: Optional[float] = None
         if gated_instances is None:
             gated: Dict[str, float] = {}
         elif isinstance(gated_instances, Mapping):
@@ -81,27 +88,49 @@ class AgingAwareSta:
         )
 
     # ------------------------------------------------------------------
+    def at_age(self, age_years: float) -> "AgingAwareSta":
+        """Select the aging library for ``age_years``; returns ``self``.
+
+        Libraries are characterized at this corner's temperature and
+        cached by the exact age, so sweeps and repeated probes pay one
+        characterization per distinct age.
+        """
+        lib = self._libs.get(age_years)
+        if lib is None:
+            lib = AgingTimingLibrary.characterize(
+                self.netlist.library,
+                lifetime_years=age_years,
+                temperature_c=self.corner.temperature_c,
+            )
+            self._libs[age_years] = lib
+        self.timing_lib = lib
+        return self
+
     def derive_period(self) -> float:
-        """Target period the design "signed off" at, fresh.
+        """Target period the design "signed off" at, fresh (memoized).
 
         Mirrors timing closure: take the fresh critical delay and leave
         ``clock_margin`` of positive slack.  The margin is what aging
         must erode before violations appear — the paper's designs also
         initially meet timing and only violate after 10 simulated years.
         """
-        analyzer = StaticTimingAnalyzer(
-            self.netlist, DelayModel.fresh(self.netlist, self.corner)
-        )
-        # Insertion delay is common-mode for a balanced fresh tree and
-        # does not change the critical delay.
-        return analyzer.critical_delay() * (1.0 + self.config.clock_margin)
+        if self._period is None:
+            analyzer = StaticTimingAnalyzer(
+                self.netlist, DelayModel.fresh(self.netlist, self.corner)
+            )
+            # Insertion delay is common-mode for a balanced fresh tree
+            # and does not change the critical delay.
+            self._period = analyzer.critical_delay() * (
+                1.0 + self.config.clock_margin
+            )
+        return self._period
 
     def aged_delay_model(self, profile: SPProfile) -> Tuple[DelayModel, Dict[str, float]]:
         """Per-instance aged delays + the Figure 8 delay-increase map."""
         if self.timing_lib is None:
             raise ValueError(
-                "AgingAwareSta was built without a timing library; "
-                "supply aged_model to analyze() instead"
+                "AgingAwareSta has no timing library; call at_age() "
+                "or supply aged_model to analyze()"
             )
         delays: Dict[str, Tuple[float, float]] = {}
         increase: Dict[str, float] = {}

@@ -264,7 +264,7 @@ def generate_dataset(
             return SurrogateDataset.from_json(text)
 
     featurizer = FleetFeaturizer(netlist, buckets=config.level_buckets)
-    oracle = ExactAgingOracle(netlist, library, config=config)
+    oracle = ExactAgingOracle(netlist, config=config)
     base_sp = featurizer.base_vector(base_profile)
     indices = list(range(config.samples))
     workers = resolve_workers(config.workers, len(indices))

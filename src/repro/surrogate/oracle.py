@@ -13,21 +13,21 @@ STA — and answers two questions per (SP profile, corner):
 * ``label(...)``: the dataset row's targets — (onset or censored,
   worst setup slack at a sampled age).
 
-Characterized libraries are cached per (age, corner temperature): the
-Arrhenius term makes the typical corner's 25 degC BTI ~57x slower than
-the sign-off corner's 105 degC, which is exactly the per-corner signal
-the surrogate's corner features learn.
+Each corner gets one :class:`~repro.sta.aging_sta.AgingAwareSta`, which
+characterizes its libraries per age at the corner's temperature and
+memoizes the sign-off period: the Arrhenius term makes the typical
+corner's 25 degC BTI ~57x slower than the sign-off corner's 105 degC,
+which is exactly the per-corner signal the surrogate's corner features
+learn.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-from ..aging.charlib import AgingTimingLibrary
 from ..aging.corners import OperatingCorner
 from ..core import telemetry
 from ..core.config import AgingAnalysisConfig, SurrogateConfig
-from ..netlist.cells import CellLibrary
 from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile
 from ..sta.aging_sta import AgingAwareSta
@@ -39,27 +39,23 @@ class ExactAgingOracle:
 
     Probes are cheap relative to a full phase-1 run: paths are only
     enumerated one per endpoint (the oracle needs the violation *bit*
-    and the WNS, not the Table 3 path census), and the derived sign-off
-    period plus per-(age, temperature) aging libraries are computed
+    and the WNS, not the Table 3 path census), and the per-corner STA
+    driver — with its sign-off period and per-age libraries — is built
     once and reused across every device the oracle labels.
     """
 
     def __init__(
         self,
         netlist: Netlist,
-        library: CellLibrary,
         config: Optional[SurrogateConfig] = None,
         aging_config: Optional[AgingAnalysisConfig] = None,
         gated_instances: Optional[Mapping[str, float]] = None,
     ):
         self.netlist = netlist
-        self.library = library
         self.config = config or SurrogateConfig()
         self.aging_config = aging_config or AgingAnalysisConfig()
         self.age_grid: Tuple[float, ...] = tuple(self.config.age_grid)
-        self._libs: Dict[Tuple[float, float], AgingTimingLibrary] = {}
         self._sta: Dict[str, AgingAwareSta] = {}
-        self._period: Dict[str, float] = {}
         self._gated = gated_instances
 
     # ------------------------------------------------------------------
@@ -69,12 +65,11 @@ class ExactAgingOracle:
         return round(self.config.censor_factor * self.age_grid[-1], 6)
 
     def sta_for(self, corner: OperatingCorner) -> AgingAwareSta:
-        """The (library-less) aging STA driver for one corner."""
+        """The aging STA driver for one corner."""
         sta = self._sta.get(corner.name)
         if sta is None:
             sta = AgingAwareSta(
                 self.netlist,
-                timing_lib=None,
                 config=self.aging_config,
                 corner=corner,
                 gated_instances=self._gated,
@@ -82,38 +77,15 @@ class ExactAgingOracle:
             self._sta[corner.name] = sta
         return sta
 
-    def period_for(self, corner: OperatingCorner) -> float:
-        """Fresh sign-off period at ``corner`` (cached)."""
-        period = self._period.get(corner.name)
-        if period is None:
-            period = self.sta_for(corner).derive_period()
-            self._period[corner.name] = period
-        return period
-
-    def _library_at(
-        self, age_years: float, corner: OperatingCorner
-    ) -> AgingTimingLibrary:
-        key = (age_years, corner.temperature_c)
-        lib = self._libs.get(key)
-        if lib is None:
-            lib = AgingTimingLibrary.characterize(
-                self.library,
-                lifetime_years=age_years,
-                temperature_c=corner.temperature_c,
-            )
-            self._libs[key] = lib
-        return lib
-
     # ------------------------------------------------------------------
     def probe(
         self, profile: SPProfile, corner: OperatingCorner, age_years: float
     ) -> Tuple[bool, float]:
         """(violates?, worst setup slack ns) at one aged operating point."""
         sta = self.sta_for(corner)
-        sta.timing_lib = self._library_at(age_years, corner)
-        model, _ = sta.aged_delay_model(profile)
+        model, _ = sta.at_age(age_years).aged_delay_model(profile)
         report = StaticTimingAnalyzer(self.netlist, model).check(
-            self.period_for(corner),
+            sta.derive_period(),
             max_paths_per_endpoint=1,
             max_total_paths=64,
         )

@@ -121,7 +121,7 @@ def profiled_fleet(
     """
     surrogate = surrogate or SurrogateConfig()
     featurizer = FleetFeaturizer(netlist, buckets=surrogate.level_buckets)
-    oracle = ExactAgingOracle(netlist, library, config=surrogate)
+    oracle = ExactAgingOracle(netlist, config=surrogate)
     base_sp = featurizer.base_vector(base_profile)
     if indices is None:
         indices = range(config.devices)

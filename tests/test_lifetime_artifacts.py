@@ -1,10 +1,13 @@
 """Tests for the lifetime simulator and artifact exporters."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.aging.corners import TYPICAL_CORNER
+from repro.aging.corners import TYPICAL_CORNER, WORST_CORNER
 from repro.core.artifacts import export_failure_models, export_suite_artifacts
 from repro.core.config import AgingAnalysisConfig
 from repro.core.example import PAPER_TABLE1_SP, build_paper_adder
@@ -15,6 +18,7 @@ from repro.lifting.models import CMode, FailureModel, ViolationKind
 from repro.lifting.testcase import TestCase, TestInstruction
 from repro.netlist.parser import parse_verilog
 from repro.sim.probes import SPProfile
+from repro.sta.aging_sta import AgingAwareSta
 
 
 @pytest.fixture
@@ -34,9 +38,6 @@ class TestLifetimeSimulator:
             adder_profile,
             config=AgingAnalysisConfig(clock_margin=0.042),
         )
-        # Force the typical corner via the config's STA (the paper
-        # adder's numbers assume no derates) — use a custom sweep.
-        simulator._base_corner = TYPICAL_CORNER
         report = simulator.sweep([1, 3, 5, 10])
         wns = [report.wns_by_year[y] for y in (1, 3, 5, 10)]
         assert all(a >= b - 1e-12 for a, b in zip(wns, wns[1:]))
@@ -78,6 +79,41 @@ class TestLifetimeSimulator:
         one = report.detection_wall_clock(1)["hourly"]
         three = report.detection_wall_clock(3)["hourly"]
         assert three == pytest.approx(one + 2 * SCHEDULES["hourly"])
+
+
+_ADDER = build_paper_adder()
+
+
+class TestAgedWnsMonotone:
+    """Aged setup WNS never recovers with age, at either corner."""
+
+    @pytest.mark.parametrize(
+        "corner", [WORST_CORNER, TYPICAL_CORNER], ids=lambda c: c.name
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        ages=st.lists(
+            st.floats(min_value=0.05, max_value=30.0),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_wns_does_not_increase_with_age(self, corner, seed, ages):
+        rng = random.Random(seed)
+        profile = SPProfile(
+            _ADDER.name,
+            {net: rng.random() for net in _ADDER.nets},
+            1000,
+        )
+        sta = AgingAwareSta(_ADDER, corner=corner)
+        period = sta.derive_period()
+        wns = [
+            sta.at_age(age).analyze(profile, clock_period_ns=period)
+            .report.wns_setup_ns
+            for age in sorted(ages)
+        ]
+        assert all(a >= b for a, b in zip(wns, wns[1:]))
 
 
 class TestArtifactExport:

@@ -6,13 +6,15 @@ import json
 
 import pytest
 
-from repro.campaign.fleet import sample_fleet
+from repro.campaign import CampaignEngine
+from repro.campaign.fleet import fleet_digest, sample_fleet
 from repro.core.artifacts import ArtifactCache
 from repro.core.config import (
     CampaignConfig,
     ErrorLiftingConfig,
     SchedulerConfig,
 )
+from repro.core.experiments import ExperimentContext
 from repro.cpu.alu_design import build_alu
 from repro.cpu.mappers import AluMapper
 from repro.integration.library_gen import AgingLibrary
@@ -389,6 +391,22 @@ class TestServiceMechanics:
 # End-to-end sessions
 # ---------------------------------------------------------------------
 class TestScheduleSession:
+    def test_for_unit_samples_the_campaign_fleet(self):
+        # Without a pinned onset, schedule/serve and campaign run must
+        # derive the same base onset, so they see the same devices.
+        experiment = ExperimentContext().unit("alu")
+        config = CampaignConfig(devices=16)
+        engine = CampaignEngine.for_unit(experiment, config=config)
+        session = ScheduleSession.for_unit(experiment, config=config)
+        assert session.base_onset_years == engine.base_onset_years
+        campaign_fleet, schedule_fleet = (
+            fleet_digest(
+                sample_fleet(config, run.failing_models, run.base_onset_years)
+            )
+            for run in (engine, session)
+        )
+        assert schedule_fleet == campaign_fleet
+
     def test_arm_catalogue_covers_cases_and_suites(
         self, alu_netlist, vega_library
     ):

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aging.corners import WORST_CORNER
 from repro.campaign import CampaignEngine
 from repro.core import telemetry
 from repro.core.config import (
@@ -35,6 +36,8 @@ from repro.core.config import (
     SurrogateConfig,
 )
 from repro.core.artifacts import ArtifactCache
+from repro.core.experiments import ExperimentContext
+from repro.core.lifetime import LifetimeSimulator
 from repro.cpu.alu_design import build_alu
 from repro.cpu.mappers import AluMapper
 from repro.integration.library_gen import AgingLibrary
@@ -61,6 +64,7 @@ from repro.surrogate import (
     validate_model,
 )
 from repro.surrogate.dataset import sample_draws
+from repro.surrogate.oracle import ExactAgingOracle
 
 #: Short age grid keeping the exact oracle cheap in unit tests; the
 #: full 31-point grid is exercised by the CLI smoke and the benchmark.
@@ -555,3 +559,23 @@ class TestDevicePriors:
         restored = FleetBelief.from_snapshot(belief.snapshot())
         assert restored.device_prior == belief.device_prior
         assert restored.digest() == belief.digest()
+
+
+# ---------------------------------------------------------------------
+# The oracle's onset is the lifetime sweep's onset
+# ---------------------------------------------------------------------
+class TestOracleOnset:
+    @pytest.mark.parametrize("unit", ["alu", "fpu"])
+    def test_matches_lifetime_sweep(self, unit):
+        experiment = ExperimentContext().unit(unit)
+        grid = SurrogateConfig().age_grid
+        onset = ExactAgingOracle(experiment.netlist).onset(
+            experiment.sp_profile, WORST_CORNER
+        )
+        assert onset is not None
+        # A sweep's first onset depends only on the ages up to it, so
+        # the grid prefix ending at the oracle's onset decides equality.
+        swept = LifetimeSimulator(
+            experiment.netlist, experiment.sp_profile
+        ).sweep(grid[: grid.index(onset) + 1])
+        assert onset == swept.first_onset_years
