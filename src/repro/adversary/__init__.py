@@ -13,18 +13,14 @@ a deterministic scenario engine:
 * :mod:`~repro.adversary.fleet` — materializes *attack fleets*:
   :class:`~repro.campaign.fleet.DeviceSpec` devices sharing the natural
   fleet's per-device draws, with onsets accelerated by the attacker's
-  stress ratio, ready to drop into the campaign engine, the packed
-  prefilter, and the scheduler's belief priors;
+  stress ratio, ready to drop into the campaign engine and its packed
+  prefilter;
 * :mod:`~repro.adversary.report` — the canonical-JSON
   :class:`~repro.adversary.report.AttackReport` comparing detection of
   attacker-accelerated vs natural aging at equal budget.
 """
 
-from .fleet import (
-    accelerate_fleet,
-    attack_device_prior,
-    sample_attack_fleet,
-)
+from .fleet import sample_attack_fleet
 from .report import AttackReport
 from .search import (
     AttackSearch,
@@ -41,8 +37,6 @@ __all__ = [
     "AttackSearch",
     "AttackSearchResult",
     "AttackTarget",
-    "accelerate_fleet",
-    "attack_device_prior",
     "generate_candidate",
     "mutate_candidate",
     "sample_attack_fleet",

@@ -231,7 +231,7 @@ class DeviceRunner:
 
         if self.unit not in PACKED_UNITS:
             return
-        width = max(1, int(self.config.pack_width))
+        width = self.config.pack_width
         suites = self.config.suites
         targets: List[Tuple[tuple, DeviceSpec]] = []
         seen = set()

@@ -159,9 +159,9 @@ def _add_scheduler(p: argparse.ArgumentParser) -> None:
                    help="max dispatches per planning tick")
     p.add_argument("--batch-window", type=int, default=4,
                    help="scheduler passes to wait for a full batch")
-    p.add_argument("--queue", type=int, default=64,
+    p.add_argument("--queue", type=_positive_int, default=64,
                    help="ingest queue bound (backpressure threshold)")
-    p.add_argument("--checkpoint-every", type=int, default=25,
+    p.add_argument("--checkpoint-every", type=_positive_int, default=25,
                    help="belief checkpoint period, in ingested results")
     p.add_argument("--strategy", choices=("sequential", "random"),
                    default="sequential", help="suite assembly strategy")
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet(p, devices=12, suites="vega,random,silifuzz")
     p.add_argument("--shard-size", type=_positive_int, default=4,
                    help="devices per shard (the checkpoint/resume unit)")
-    p.add_argument("--pack-width", type=int, default=64,
+    p.add_argument("--pack-width", type=_positive_int, default=64,
                    help="max failure-model bit-planes per packed "
                         "gate-sim group (default: 64)")
     p.add_argument("--strategy", choices=("sequential", "random"),

@@ -189,6 +189,12 @@ class CampaignConfig:
     #: ``hci_stress_scale``.
     hci_onset_scale: float = 0.75
 
+    def __post_init__(self) -> None:
+        if self.pack_width < 1:
+            raise ValueError(
+                f"pack_width must be >= 1, got {self.pack_width}"
+            )
+
 
 @dataclass
 class SurrogateConfig:
@@ -276,8 +282,6 @@ class AdversaryConfig:
         acceleration_cap: Upper bound on the attack's onset
             acceleration factor (physical wearout saturates; an
             unbounded power law would not).
-        attack_fraction: Fraction of the fleet the attacker reaches
-            (1.0: every device runs the attacker's stream).
         workers: Fork workers for candidate profiling; 0 = one per
             CPU.  Never enters cache keys or results.
     """
@@ -292,7 +296,6 @@ class AdversaryConfig:
     lanes: int = 64
     drain_cycles: int = 2
     acceleration_cap: float = 6.0
-    attack_fraction: float = 1.0
     workers: int = 1
 
 
@@ -399,12 +402,13 @@ class SchedulerConfig:
     fleet_blend: float = 0.5
 
     def __post_init__(self) -> None:
-        # A zero batch would slice no requests on every tick and never
-        # drain the fleet.
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
+        # Counts: a zero batch would slice no requests on every tick
+        # and never drain the fleet; a zero queue bound or checkpoint
+        # period has no meaning.
+        for name in ("batch_size", "ingest_queue", "checkpoint_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass

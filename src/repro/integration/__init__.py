@@ -27,23 +27,3 @@ __all__ = [
     "ProfileGuidedIntegrator",
     "profile_application",
 ]
-
-from .response import (
-    FallbackResponse,
-    FaultAction,
-    Incident,
-    ProtectedResult,
-    RetireResponse,
-    RetryResponse,
-    run_with_protection,
-)
-
-__all__ += [
-    "FallbackResponse",
-    "FaultAction",
-    "Incident",
-    "ProtectedResult",
-    "RetireResponse",
-    "RetryResponse",
-    "run_with_protection",
-]

@@ -175,9 +175,7 @@ class _BeliefArrays:
             for label, col in self.class_col.items():
                 alpha, beta = device.posteriors.get(
                     label,
-                    belief._prior_for(
-                        device.corner, label, device.device_id
-                    ),
+                    belief._prior_for(device.corner, label),
                 )
                 self.ab[i, col, 0] = alpha
                 self.ab[i, col, 1] = beta
@@ -297,23 +295,11 @@ class FleetBelief:
         classes: Sequence[str],
         cycle_budget: int,
         fleet_blend: float = 0.5,
-        device_prior: Optional[
-            Dict[str, Dict[str, Tuple[float, float]]]
-        ] = None,
     ):
         self.classes = list(classes)
         self.cycle_budget = int(cycle_budget)
         self.fleet_blend = float(fleet_blend)
         self.prior = fleet_prior(fleet, self.classes)
-        #: Optional per-device (alpha, beta) tables overriding the
-        #: corner prior — e.g. the aging surrogate's predicted-onset
-        #: priors (:func:`repro.surrogate.triage.surrogate_device_prior`).
-        #: Kept out of snapshots when empty so existing digests are
-        #: unchanged.
-        self.device_prior: Dict[str, Dict[str, Tuple[float, float]]] = {
-            device_id: {label: (float(a), float(b)) for label, (a, b) in table.items()}
-            for device_id, table in (device_prior or {}).items()
-        }
         #: class -> [alpha, beta] *deltas* accumulated fleet-wide (the
         #: prior is per-corner, so fleet evidence is kept separate and
         #: blended in at scoring time).
@@ -331,13 +317,7 @@ class FleetBelief:
         self._arrays: Optional[_BeliefArrays] = None
 
     # -- posterior access ----------------------------------------------
-    def _prior_for(
-        self, corner: str, label: str, device_id: Optional[str] = None
-    ) -> Tuple[float, float]:
-        if device_id is not None:
-            table = self.device_prior.get(device_id)
-            if table is not None and label in table:
-                return table[label]
+    def _prior_for(self, corner: str, label: str) -> Tuple[float, float]:
         table = self.prior.get(corner)
         if table is None:
             # Unknown corner (never sampled): neutral Jeffreys prior.
@@ -349,9 +329,7 @@ class FleetBelief:
     ) -> List[float]:
         posterior = device.posteriors.get(label)
         if posterior is None:
-            alpha, beta = self._prior_for(
-                device.corner, label, device.device_id
-            )
+            alpha, beta = self._prior_for(device.corner, label)
             posterior = [alpha, beta]
             device.posteriors[label] = posterior
         return posterior
@@ -361,7 +339,7 @@ class FleetBelief:
         fleet evidence.  Pure read — never materializes state."""
         device = self.devices[device_id]
         alpha, beta = device.posteriors.get(
-            label, self._prior_for(device.corner, label, device_id)
+            label, self._prior_for(device.corner, label)
         )
         fleet = self.fleet_posteriors.get(label)
         if fleet is not None and self.fleet_blend > 0:
@@ -482,13 +460,8 @@ class FleetBelief:
 
     # -- serialization --------------------------------------------------
     def snapshot(self) -> dict:
-        """Canonical, JSON-ready copy of the full belief state.
-
-        ``device_prior`` appears only when set, so beliefs without
-        per-device priors keep their historical serialization (and
-        digests) byte for byte.
-        """
-        data = {
+        """Canonical, JSON-ready copy of the full belief state."""
+        return {
             "classes": list(self.classes),
             "cycle_budget": self.cycle_budget,
             "fleet_blend": self.fleet_blend,
@@ -505,12 +478,6 @@ class FleetBelief:
                 for device_id, belief in self.devices.items()
             },
         }
-        if self.device_prior:
-            data["device_prior"] = {
-                device_id: {label: list(ab) for label, ab in table.items()}
-                for device_id, table in self.device_prior.items()
-            }
-        return data
 
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True, indent=2) + "\n"
@@ -535,13 +502,6 @@ class FleetBelief:
         belief.devices = {
             device_id: DeviceBelief.from_dict(entry)
             for device_id, entry in data["devices"].items()
-        }
-        belief.device_prior = {
-            device_id: {
-                label: (float(a), float(b))
-                for label, (a, b) in table.items()
-            }
-            for device_id, table in data.get("device_prior", {}).items()
         }
         belief._arrays = None
         return belief

@@ -218,7 +218,7 @@ class DetectionService:
         bounded ingest buffer is full."""
         if self._stopped:
             return  # dead service: drop the result, client will retire
-        if len(self._buffer) >= max(1, self.config.ingest_queue):
+        if len(self._buffer) >= self.config.ingest_queue:
             telemetry.add("scheduler.ingest_rejected")
             raise RetryAfter(retry_after=self._retry_hint())
         self._buffer.append(result)
@@ -453,7 +453,7 @@ class DetectionService:
     def _maybe_checkpoint(self, force: bool = False) -> None:
         due = (
             self.events_ingested - self._last_checkpoint
-            >= max(1, self.config.checkpoint_every)
+            >= self.config.checkpoint_every
         )
         if not (due or (force and self.events_ingested
                         > self._last_checkpoint)):

@@ -36,10 +36,8 @@ from .oracle import ExactAgingOracle
 from .triage import (
     TriageOutcome,
     TriagedDevice,
-    accelerated_triage,
     profiled_fleet,
     run_surrogate_campaign,
-    surrogate_device_prior,
     triage_fleet,
 )
 from .validate import (
@@ -61,7 +59,6 @@ __all__ = [
     "TriageOutcome",
     "TriagedDevice",
     "ValidationReport",
-    "accelerated_triage",
     "calibrate_threshold",
     "device_features",
     "device_sp_vector",
@@ -69,7 +66,6 @@ __all__ = [
     "generate_dataset",
     "profiled_fleet",
     "run_surrogate_campaign",
-    "surrogate_device_prior",
     "train_surrogate",
     "triage_fleet",
     "validate_model",

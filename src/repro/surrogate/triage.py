@@ -39,7 +39,6 @@ from ..integration.library_gen import AgingLibrary
 from ..lifting.models import FailureModel
 from ..netlist.cells import CellLibrary
 from ..netlist.netlist import Netlist
-from ..scheduler.belief import BROAD_CLASS
 from ..sim.probes import SPProfile
 from .dataset import device_sp_vector
 from .features import FleetFeaturizer
@@ -298,75 +297,3 @@ def run_surrogate_campaign(
     )
     return outcome, engine.run()
 
-
-def surrogate_device_prior(
-    outcome: TriageOutcome,
-    classes: Sequence[str],
-    strength: float = 1.0,
-) -> Dict[str, Dict[str, Tuple[float, float]]]:
-    """Per-device Beta priors for the scheduler, from predicted onsets.
-
-    Mirrors :func:`repro.scheduler.belief.fleet_prior`'s shape (a
-    Jeffreys 0.5/0.5 floor plus ``strength`` pseudo-counts of the
-    risk estimate) but *per device*: a device the surrogate expects to
-    violate well inside the mission window starts hot, a cleared
-    device starts cold — the informed starting point the dispatch
-    policies exploit before any real outcome streams back.
-    """
-    priors: Dict[str, Dict[str, Tuple[float, float]]] = {}
-    n_classes = max(1, len(classes))
-    for device in outcome.devices:
-        margin = device.predicted_onset_years - outcome.mission_years
-        if margin <= 0.0:
-            risk = 1.0
-        else:
-            # Linear decay past the mission window; clean well beyond
-            # the horizon means near-zero prior risk.
-            risk = max(0.0, 1.0 - margin / outcome.mission_years)
-        table: Dict[str, Tuple[float, float]] = {}
-        for label in classes:
-            p = risk / n_classes
-            table[label] = (
-                0.5 + strength * p,
-                0.5 + strength * (1.0 - p),
-            )
-        table[BROAD_CLASS] = (
-            0.5 + strength * risk,
-            0.5 + strength * (1.0 - risk),
-        )
-        priors[device.device_id] = table
-    return priors
-
-
-def accelerated_triage(
-    outcome: TriageOutcome, acceleration: float
-) -> TriageOutcome:
-    """Re-triage a scored fleet under attacker-accelerated aging.
-
-    The adversary engine's acceleration factor divides every device's
-    time-to-onset (``repro.adversary``); the surrogate's predicted
-    onsets scale the same way, so an attack scenario can be re-triaged
-    without re-running the featurizer or the model.  Flags are
-    recomputed against the unchanged threshold; since onsets only
-    shrink, the flagged set grows monotonically with ``acceleration``.
-    """
-    acceleration = max(1.0, float(acceleration))
-    devices = []
-    for device in outcome.devices:
-        onset = device.predicted_onset_years / acceleration
-        devices.append(
-            TriagedDevice(
-                index=device.index,
-                device_id=device.device_id,
-                corner=device.corner,
-                intensity=device.intensity,
-                predicted_onset_years=float(onset),
-                predicted_slack_ns=device.predicted_slack_ns,
-                flagged=bool(onset <= outcome.threshold),
-            )
-        )
-    return TriageOutcome(
-        threshold=outcome.threshold,
-        mission_years=outcome.mission_years,
-        devices=devices,
-    )

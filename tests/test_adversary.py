@@ -14,8 +14,6 @@ import pytest
 from repro.adversary import (
     AttackReport,
     AttackSearch,
-    accelerate_fleet,
-    attack_device_prior,
     generate_candidate,
     sample_attack_fleet,
     select_target,
@@ -33,7 +31,6 @@ from repro.cpu.mappers import AluMapper
 from repro.integration.library_gen import AgingLibrary
 from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
-from repro.scheduler.belief import BROAD_CLASS, FleetBelief
 from repro.sim.parallel_profile import profile_workload_streams
 from repro.sta.timing import TimingViolation
 
@@ -198,48 +195,6 @@ class TestAttackFleet:
         )
         assert attacked == natural
 
-    def test_accelerate_existing_fleet(self):
-        from repro.campaign.fleet import sample_fleet
-
-        natural = sample_fleet(CAMPAIGN_CONFIG, MODELS, 8.0)
-        attacked = accelerate_fleet(
-            natural, 2.0, MODELS, CAMPAIGN_CONFIG.mission_years
-        )
-        for nat, att in zip(natural, attacked):
-            assert att.onset_years == pytest.approx(
-                nat.onset_years / 2.0, abs=1e-5
-            )
-            if nat.faulty:
-                # The attack changes when a device fails, not how.
-                assert att.model == nat.model
-            if att.faulty:
-                assert att.model is not None
-
-    def test_prior_feeds_fleet_belief(self):
-        from repro.campaign.fleet import sample_fleet
-
-        natural = sample_fleet(CAMPAIGN_CONFIG, MODELS, 8.0)
-        attacked = sample_attack_fleet(
-            CAMPAIGN_CONFIG, MODELS, 8.0, acceleration=4.0
-        )
-        classes = ["setup:a_q_r0:res_q_r31"]
-        prior = attack_device_prior(
-            natural, attacked, classes, CAMPAIGN_CONFIG.mission_years
-        )
-        assert set(prior) == {spec.device_id for spec in attacked}
-        for table in prior.values():
-            assert BROAD_CLASS in table
-            alpha, beta = table[BROAD_CLASS]
-            assert alpha > 0 and beta > 0
-        belief = FleetBelief(
-            attacked, classes, cycle_budget=100_000, device_prior=prior
-        )
-        # Strongly attacked faulty devices start hotter than the flat
-        # Jeffreys prior would leave them.
-        hot = [spec.device_id for spec in attacked if spec.faulty]
-        if hot:
-            assert belief.mean(hot[0], BROAD_CLASS) > 0.5
-
 
 class TestAttackCampaign:
     @pytest.fixture(scope="class")
@@ -311,35 +266,3 @@ class TestAttackCampaign:
         one = self._run(alu_netlist, vega_library, attack_fleet, workers=1)
         two = self._run(alu_netlist, vega_library, attack_fleet, workers=2)
         assert one.to_json() == two.to_json()
-
-
-class TestAcceleratedTriage:
-    def test_flagged_set_grows_monotonically(self):
-        from repro.surrogate import accelerated_triage
-        from repro.surrogate.triage import TriageOutcome, TriagedDevice
-
-        outcome = TriageOutcome(
-            threshold=9.0,
-            mission_years=10.0,
-            devices=[
-                TriagedDevice(
-                    index=i,
-                    device_id=f"dev-{i:04d}",
-                    corner="typical",
-                    intensity=1.0,
-                    predicted_onset_years=onset,
-                    predicted_slack_ns=0.1,
-                    flagged=onset <= 9.0,
-                )
-                for i, onset in enumerate([4.0, 9.5, 12.0, 30.0])
-            ],
-        )
-        base_flagged = set(outcome.flagged_indices)
-        previous = base_flagged
-        for acceleration in (1.0, 1.5, 2.0, 4.0):
-            attacked = accelerated_triage(outcome, acceleration)
-            flagged = set(attacked.flagged_indices)
-            assert previous <= flagged
-            previous = flagged
-        assert previous >= base_flagged
-        assert 2 in previous  # 12y / 4 = 3y, well inside threshold

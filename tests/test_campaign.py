@@ -298,3 +298,8 @@ class TestCampaignConfigPlumbing:
         )
         with pytest.raises(ValueError, match="unknown campaign suite"):
             make_engine(alu_netlist, vega_library, config=config).run()
+
+    @pytest.mark.parametrize("pack_width", [0, -1])
+    def test_rejects_pack_width_below_one(self, pack_width):
+        with pytest.raises(ValueError, match="pack_width"):
+            CampaignConfig(pack_width=pack_width)

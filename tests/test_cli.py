@@ -283,6 +283,11 @@ class TestCountFlags:
             ["attack", "search", "--stream-ops", "0"],
             ["schedule", "--batch-size", "0"],
             ["serve", "--batch-size", "0"],
+            ["campaign", "run", "--pack-width", "0"],
+            ["schedule", "--queue", "0"],
+            ["serve", "--queue", "0"],
+            ["schedule", "--checkpoint-every", "0"],
+            ["serve", "--checkpoint-every", "0"],
         ],
         ids=lambda argv: " ".join(argv[:-1]),
     )

@@ -1,21 +1,22 @@
-"""Tests for fault-response strategies (detect -> mitigate loop)."""
+"""Tests for the runtime detection signal a fault response acts on.
+
+The package stops at detection: ``IntegratedApplication.run`` returns
+``(result, fault)`` and a caller chooses the response.  These tests pin
+the signals each classic response needs — fail-stop (retire) needs the
+fault flagged, retry needs a persistent fault to recur and a transient
+one to clear, and software fallback needs a re-run on the golden model
+to reproduce the fault-free result.
+"""
 
 import pytest
 
 from repro.core.config import ErrorLiftingConfig, TestIntegrationConfig
-from repro.cpu.alu_design import build_alu
+from repro.cpu.alu_design import alu_reference, build_alu
 from repro.cpu.cosim import GateAluBackend
-from repro.cpu.cpu import run_program
+from repro.cpu.cpu import GoldenAlu, run_program
 from repro.cpu.mappers import AluMapper
-from repro.integration.library_gen import AgingLibrary
+from repro.integration.library_gen import FAULT_SENTINEL, AgingLibrary
 from repro.integration.profile import ProfileGuidedIntegrator
-from repro.integration.response import (
-    FallbackResponse,
-    FaultAction,
-    RetireResponse,
-    RetryResponse,
-    run_with_protection,
-)
 from repro.lifting.instrument import make_failing_netlist
 from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
@@ -70,115 +71,106 @@ def failing_alu():
     return make_failing_netlist(build_alu(), model).netlist
 
 
+@pytest.fixture(scope="module")
+def baseline():
+    return run_program(APP).exit_value
+
+
+def _faulty_first_run(app, failing_alu, seed=0):
+    """A backend that is faulty for exactly one run, healthy afterwards."""
+    probe = GateAluBackend(failing_alu, seed=seed)
+    app.run(alu=probe)
+    ops_first_run = probe.operations
+
+    class SettlesAfterFirstRun:
+        def __init__(self):
+            self.bad = GateAluBackend(failing_alu, seed=seed)
+            self.calls = 0
+
+        def execute(self, op, a, b):
+            self.calls += 1
+            if self.calls <= ops_first_run:
+                return self.bad.execute(op, a, b)
+            return alu_reference(op, a, b)
+
+    return SettlesAfterFirstRun()
+
+
+def _assert_flagged(outcome):
+    # A stall surfaces as (None, True); a failed test as the sentinel.
+    _, fault = outcome
+    assert fault
+
+
 class TestCleanRun:
-    def test_no_fault_no_action(self, protected_app):
-        outcome = run_with_protection(protected_app, "alu")
-        assert outcome.action is FaultAction.NONE
-        assert outcome.completed
-        assert outcome.incidents == []
-        baseline = run_program(APP)
-        assert outcome.result.exit_value == baseline.exit_value
+    def test_no_fault_no_action(self, protected_app, baseline):
+        result, fault = protected_app.run()
+        assert not fault
+        assert result is not None
+        assert result.exit_value == baseline
 
 
 class TestRetire:
     def test_fault_retires_unit(self, protected_app, failing_alu):
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": GateAluBackend(failing_alu)},
-            policy=RetireResponse(),
+        # Fail-stop acts on the flag alone: the embedded tests must
+        # raise it on the failing unit.
+        _assert_flagged(
+            protected_app.run(alu=GateAluBackend(failing_alu))
         )
-        assert outcome.action is FaultAction.RETIRED
-        assert not outcome.completed
-        assert outcome.incidents[0].detail.startswith("unit retired")
 
 
 class TestRetry:
     def test_persistent_fault_escalates(self, protected_app, failing_alu):
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": GateAluBackend(failing_alu)},
-            policy=RetryResponse(),
-        )
-        # The injected failure is persistent: retry sees it again.
-        assert outcome.action is FaultAction.RETIRED
-        assert len(outcome.incidents) == 2
-        assert "recurred" in outcome.incidents[0].detail
+        # The injected failure is persistent: a retry sees it again.
+        backend = GateAluBackend(failing_alu)
+        _assert_flagged(protected_app.run(alu=backend))
+        _assert_flagged(protected_app.run(alu=backend))
 
-    def test_retry_can_escalate_to_fallback(self, protected_app, failing_alu):
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": GateAluBackend(failing_alu)},
-            policy=RetryResponse(escalate=FallbackResponse()),
-        )
-        assert outcome.action is FaultAction.FELL_BACK
-        assert outcome.completed
+    def test_retry_can_escalate_to_fallback(
+        self, protected_app, failing_alu, baseline
+    ):
+        backend = GateAluBackend(failing_alu)
+        _assert_flagged(protected_app.run(alu=backend))
+        _assert_flagged(protected_app.run(alu=backend))
+        result, fault = protected_app.run(alu=GoldenAlu())
+        assert not fault
+        assert result.exit_value == baseline
 
-    def test_transient_fault_clears_on_retry(self, protected_app, failing_alu):
-        # Measure the exact ALU-operation count of one (faulty) run so
-        # the flaky backend corrupts precisely the first execution.
-        probe = GateAluBackend(failing_alu)
-        protected_app.run(alu=probe)
-        ops_first_run = probe.operations
-
-        class FlakyOnce:
-            """Failing netlist for the first run, healthy afterwards."""
-
-            def __init__(self):
-                self.bad = GateAluBackend(failing_alu)
-                self.calls = 0
-
-            def execute(self, op, a, b):
-                from repro.cpu.alu_design import alu_reference
-
-                self.calls += 1
-                if self.calls <= ops_first_run:
-                    return self.bad.execute(op, a, b)
-                return alu_reference(op, a, b)
-
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": FlakyOnce()},
-            policy=RetryResponse(),
-        )
-        assert outcome.action is FaultAction.TRANSIENT
-        assert outcome.completed
+    def test_transient_fault_clears_on_retry(
+        self, protected_app, failing_alu, baseline
+    ):
+        flaky = _faulty_first_run(protected_app, failing_alu)
+        _assert_flagged(protected_app.run(alu=flaky))
+        result, fault = protected_app.run(alu=flaky)
+        assert not fault
+        assert result.exit_value == baseline
 
 
 class TestFallback:
     def test_software_emulation_recovers_result(
-        self, protected_app, failing_alu
+        self, protected_app, failing_alu, baseline
     ):
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": GateAluBackend(failing_alu)},
-            policy=FallbackResponse(),
+        _assert_flagged(
+            protected_app.run(alu=GateAluBackend(failing_alu))
         )
-        assert outcome.action is FaultAction.FELL_BACK
-        assert outcome.completed
-        baseline = run_program(APP)
-        assert outcome.result.exit_value == baseline.exit_value
-        assert outcome.incidents[0].detail.startswith("alu emulated")
+        result, fault = protected_app.run(alu=GoldenAlu())
+        assert not fault
+        assert result.exit_value == baseline
 
-    def test_fallback_is_default_policy(self, protected_app, failing_alu):
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": GateAluBackend(failing_alu)},
-        )
-        assert outcome.action is FaultAction.FELL_BACK
+    def test_fallback_is_default_policy(self, protected_app, baseline):
+        # With no hardware backend named, every unit runs on its golden
+        # software model, so dropping the faulty backend is the fallback.
+        result, fault = protected_app.run(alu=None)
+        assert not fault
+        assert result.exit_value == baseline
 
 
 class TestCampaignDevices:
-    """Response policies driven by campaign-sampled faulty devices.
+    """Detection on campaign-sampled faulty devices.
 
     The fleet sampler assigns each faulty device a failure model and a
     backend seed; these tests wire those devices into the protected
-    application and assert the incident trail each policy leaves for
+    application and check the signals a response would act on for
     persistent vs transient faults.
     """
 
@@ -206,89 +198,38 @@ class TestCampaignDevices:
     def test_persistent_fault_trail(
         self, protected_app, faulty_devices, failing_alu
     ):
-        # Every faulty device's injection is persistent: retry sees the
-        # fault again and escalates to retirement.
+        # Every faulty device's injection is persistent: each re-run
+        # flags the fault again.
         for spec in faulty_devices[:2]:
-            outcome = run_with_protection(
-                protected_app,
-                "alu",
-                backends={
-                    "alu": GateAluBackend(
-                        failing_alu, seed=spec.backend_seed
-                    )
-                },
-                policy=RetryResponse(),
-            )
-            assert outcome.action is FaultAction.RETIRED
-            assert [i.action for i in outcome.incidents] == [
-                FaultAction.RETIRED,
-                FaultAction.RETIRED,
-            ]
-            assert "recurred" in outcome.incidents[0].detail
-            assert not outcome.completed
+            backend = GateAluBackend(failing_alu, seed=spec.backend_seed)
+            _assert_flagged(protected_app.run(alu=backend))
+            _assert_flagged(protected_app.run(alu=backend))
 
     def test_transient_fault_trail(
-        self, protected_app, faulty_devices, failing_alu
+        self, protected_app, faulty_devices, failing_alu, baseline
     ):
         # A device whose marginal path trips once (environmental noise,
         # §6.2) and then holds: faulty backend first run, healthy after.
         spec = faulty_devices[0]
-        probe = GateAluBackend(failing_alu, seed=spec.backend_seed)
-        protected_app.run(alu=probe)
-        ops_first_run = probe.operations
-
-        class SettlesAfterFirstRun:
-            def __init__(self):
-                self.bad = GateAluBackend(failing_alu, seed=spec.backend_seed)
-                self.calls = 0
-
-            def execute(self, op, a, b):
-                from repro.cpu.alu_design import alu_reference
-
-                self.calls += 1
-                if self.calls <= ops_first_run:
-                    return self.bad.execute(op, a, b)
-                return alu_reference(op, a, b)
-
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": SettlesAfterFirstRun()},
-            policy=RetryResponse(),
+        settles = _faulty_first_run(
+            protected_app, failing_alu, seed=spec.backend_seed
         )
-        assert outcome.action is FaultAction.TRANSIENT
-        assert outcome.completed
-        assert [i.action for i in outcome.incidents] == [
-            FaultAction.TRANSIENT
-        ]
-        assert "did not recur" in outcome.incidents[0].detail
+        _assert_flagged(protected_app.run(alu=settles))
+        result, fault = protected_app.run(alu=settles)
+        assert not fault
+        assert result.exit_value == baseline
 
     def test_fallback_recovers_device_result(
-        self, protected_app, device_backend
+        self, protected_app, device_backend, baseline
     ):
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": device_backend},
-            policy=FallbackResponse(),
-        )
-        assert outcome.action is FaultAction.FELL_BACK
-        assert outcome.completed
-        baseline = run_program(APP)
-        assert outcome.result.exit_value == baseline.exit_value
-        assert [i.action for i in outcome.incidents] == [
-            FaultAction.FELL_BACK
-        ]
+        _assert_flagged(protected_app.run(alu=device_backend))
+        result, fault = protected_app.run(alu=GoldenAlu())
+        assert not fault
+        assert result.exit_value == baseline
 
     def test_retire_halts_device(self, protected_app, device_backend):
-        outcome = run_with_protection(
-            protected_app,
-            "alu",
-            backends={"alu": device_backend},
-            policy=RetireResponse(),
-        )
-        assert outcome.action is FaultAction.RETIRED
-        assert not outcome.completed
-        assert [i.action for i in outcome.incidents] == [
-            FaultAction.RETIRED
-        ]
+        # No result of a flagged run may be trusted: either the CPU
+        # stalled or the exit value is the fault sentinel.
+        result, fault = protected_app.run(alu=device_backend)
+        assert fault
+        assert result is None or result.exit_value == FAULT_SENTINEL

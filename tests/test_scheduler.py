@@ -579,6 +579,12 @@ class TestSchedulerConfig:
         with pytest.raises(ValueError, match="batch_size"):
             SchedulerConfig(batch_size=batch_size)
 
+    @pytest.mark.parametrize("field", ["ingest_queue", "checkpoint_every"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_counts_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SchedulerConfig(**{field: value})
+
 
 class TestRetryHintInFlight:
     def test_hint_accounts_for_outstanding_batch(self):

@@ -11,9 +11,7 @@ Covers the `repro.surrogate` package plus its integration points:
   validation gate;
 * triage: exact device specs are a pure function of their index, so
   the re-verified tail's campaign report rows equal the corresponding
-  rows of an all-exact campaign byte for byte;
-* the scheduler's per-device surrogate priors (belief lookup, digest
-  preservation).
+  rows of an all-exact campaign byte for byte.
 """
 
 import dataclasses
@@ -44,7 +42,6 @@ from repro.integration.library_gen import AgingLibrary
 from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
 from repro.netlist.cells import make_vega28_library
-from repro.scheduler.belief import BROAD_CLASS, FleetBelief
 from repro.sim.probes import SPProfile, net_levels
 from repro.sta.timing import TimingViolation
 from repro.surrogate import (
@@ -52,13 +49,11 @@ from repro.surrogate import (
     RidgeSurrogate,
     SurrogateDataset,
     SurrogateValidationError,
-    TriageOutcome,
     device_features,
     device_sp_vector,
     generate_dataset,
     profiled_fleet,
     run_surrogate_campaign,
-    surrogate_device_prior,
     train_surrogate,
     triage_fleet,
     validate_model,
@@ -488,77 +483,6 @@ class TestTriage:
             d.flagged == (d.predicted_onset_years <= outcome.threshold)
             for d in outcome.devices
         )
-
-
-# ---------------------------------------------------------------------
-# Scheduler integration: per-device surrogate priors
-# ---------------------------------------------------------------------
-class TestDevicePriors:
-    def _specs(self):
-        from repro.campaign.fleet import DeviceSpec
-
-        return [
-            DeviceSpec(
-                index=i, device_id=f"dev-{i:04d}",
-                corner="ss_0.81v_105c", onset_years=5.0,
-                faulty=False, model=None, backend_seed=i,
-            )
-            for i in range(3)
-        ]
-
-    def _outcome(self):
-        from repro.surrogate.triage import TriagedDevice
-
-        return TriageOutcome(
-            threshold=12.0,
-            mission_years=10.0,
-            devices=[
-                TriagedDevice(0, "dev-0000", "ss_0.81v_105c", -0.5,
-                              4.0, -0.1, True),
-                TriagedDevice(1, "dev-0001", "tt_0.90v_25c", 0.1,
-                              25.0, 0.4, False),
-            ],
-        )
-
-    def test_priors_hot_for_flagged_cold_for_cleared(self):
-        priors = surrogate_device_prior(self._outcome(), ["s", "h"])
-        hot = priors["dev-0000"][BROAD_CLASS]
-        cold = priors["dev-0001"][BROAD_CLASS]
-        assert hot[0] > hot[1]          # risk 1.0: alpha-heavy
-        assert cold[0] < cold[1]        # far beyond mission: beta-heavy
-        assert set(priors["dev-0000"]) == {"s", "h", BROAD_CLASS}
-
-    def test_belief_consults_device_prior_first(self):
-        specs = self._specs()
-        priors = {"dev-0000": {"x": (3.0, 1.0)}}
-        belief = FleetBelief(
-            specs, ["x"], cycle_budget=1000, device_prior=priors
-        )
-        assert belief._prior_for(
-            "ss_0.81v_105c", "x", "dev-0000"
-        ) == (3.0, 1.0)
-        # Other devices fall through to the corner prior.
-        fallback = belief._prior_for("ss_0.81v_105c", "x", "dev-0001")
-        assert fallback == belief._prior_for("ss_0.81v_105c", "x")
-
-    def test_snapshot_digest_unchanged_without_priors(self):
-        specs = self._specs()
-        plain = FleetBelief(specs, ["x"], cycle_budget=1000)
-        with_empty = FleetBelief(
-            specs, ["x"], cycle_budget=1000, device_prior={}
-        )
-        assert "device_prior" not in plain.snapshot()
-        assert plain.digest() == with_empty.digest()
-
-    def test_snapshot_round_trips_device_prior(self):
-        specs = self._specs()
-        priors = {"dev-0001": {"x": (2.0, 0.5), BROAD_CLASS: (1.5, 0.5)}}
-        belief = FleetBelief(
-            specs, ["x"], cycle_budget=1000, device_prior=priors
-        )
-        restored = FleetBelief.from_snapshot(belief.snapshot())
-        assert restored.device_prior == belief.device_prior
-        assert restored.digest() == belief.digest()
 
 
 # ---------------------------------------------------------------------
