@@ -20,12 +20,15 @@ Run with::
 Generated tables land in ``benchmarks/results/`` so EXPERIMENTS.md can
 reference them; both writes are atomic (temp file + rename, parent
 directories created) so an interrupted run never leaves partial
-artifacts.
+artifacts.  A smoke run (``VEGA_SMOKE=1``) writes its tables to a
+session temp directory instead: its reduced sizes must never replace
+the committed full-size tables.
 
 Speedup benchmarks time the reference paths in ``tests/oracles.py``,
 so ``tests/`` goes on ``sys.path``.
 """
 
+import os
 import pathlib
 import sys
 
@@ -45,8 +48,10 @@ def ctx():
 
 
 @pytest.fixture(scope="session")
-def recorder():
-    rec = BenchRecorder(results_dir=RESULTS_DIR, json_dir=REPO_ROOT)
+def recorder(tmp_path_factory):
+    smoke = os.environ.get("VEGA_SMOKE") == "1"
+    results_dir = tmp_path_factory.mktemp("results") if smoke else RESULTS_DIR
+    rec = BenchRecorder(results_dir=results_dir, json_dir=REPO_ROOT)
     yield rec
     # Publish any benchmark that registered samples but never reached
     # its table call (e.g. a failed assertion after sampling).

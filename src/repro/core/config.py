@@ -149,9 +149,8 @@ class CampaignConfig:
             sign-off worst corner; the rest run the typical corner,
             whose slower aging pushes onset later.
         base_onset_years: Fleet-median violation onset.  ``None`` asks
-            the engine to derive it from a
-            :class:`~repro.core.lifetime.LifetimeSimulator` sweep of
-            the unit under analysis.
+            the engine to derive it from the unit under analysis
+            (:func:`~repro.core.lifetime.base_onset_years`).
         random_suite_size: Test count of the random baseline suite
             (``None``: match the vega library, as Table 7 does).
         silifuzz_snapshots: Corpus size for the SiliFuzz-style baseline.
@@ -196,6 +195,14 @@ class CampaignConfig:
             )
 
 
+def _check_age_grid(grid: Tuple[float, ...]) -> None:
+    # Onset searches bisect the grid, which needs it sorted.
+    if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"age_grid must be non-empty and strictly ascending, got {grid!r}"
+        )
+
+
 @dataclass
 class SurrogateConfig:
     """ML aging surrogate (``repro.surrogate``).
@@ -220,11 +227,9 @@ class SurrogateConfig:
             scaled by ``1 - noise * u`` with per-net uniform ``u``), so
             two devices at the same intensity still have distinct
             profiles.
-        age_grid: Ages (years) the exact oracle sweeps when labeling
-            onset; also the resolution of exact per-device onsets.
-        censor_factor: Onset label assigned to devices that never
-            violate inside the grid horizon, as a multiple of the last
-            grid age (right-censored regression target).
+        age_grid: Strictly ascending ages (years) the exact oracle
+            bisects for the first violating age when labeling onset;
+            also the resolution of exact per-device onsets.
         holdout_fraction: Fraction of the dataset held out from
             training for validation.
         ridge_lambda: L2 regularization of the numpy ridge regressor.
@@ -246,12 +251,14 @@ class SurrogateConfig:
     age_grid: Tuple[float, ...] = tuple(
         round(1.0 + 0.5 * i, 6) for i in range(31)
     )
-    censor_factor: float = 1.5
     holdout_fraction: float = 0.25
     ridge_lambda: float = 1e-2
     recall_floor: float = 0.95
     threshold_margin: float = 0.25
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        _check_age_grid(self.age_grid)
 
 
 @dataclass
@@ -320,11 +327,8 @@ class ResponseConfig:
         derate_step / max_derate: Clock-derating search grid (fractions
             of the signed-off period).
         mission_years: Deployment window recovery is measured against.
-        age_grid: Ages (years) swept when locating violation onset;
-            scans early-exit at the first violating age.
-        censor_factor: Onset assigned when a policy pushes the first
-            violation past the grid horizon (right-censored), as a
-            multiple of the last grid age.
+        age_grid: Strictly ascending ages (years) bisected for the
+            first violating age when locating violation onset.
         equiv_depth / equiv_conflict_budget: Sequential-equivalence
             check parameters (:func:`repro.formal.equiv
             .check_equivalence`).
@@ -342,13 +346,15 @@ class ResponseConfig:
     max_derate: float = 0.30
     mission_years: float = 10.0
     age_grid: Tuple[float, ...] = tuple(float(a) for a in range(1, 17))
-    censor_factor: float = 1.5
     equiv_depth: int = 3
     equiv_conflict_budget: int = 150_000
     accuracy_samples: int = 128
     accuracy_depth: int = 3
     seed: int = 17
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        _check_age_grid(self.age_grid)
 
 
 @dataclass

@@ -133,10 +133,10 @@ class LifetimeSimulator:
 def base_onset_years(config: CampaignConfig, unit_experiment=None) -> float:
     """Fleet-median violation onset a campaign samples its fleet around.
 
-    The pinned ``config.base_onset_years`` wins; else the first onset of
-    a coarse :class:`LifetimeSimulator` sweep of ``unit_experiment``
-    (a :class:`~repro.core.experiments.UnitExperiment`); else, with no
-    unit or no onset inside the sweep, mid-life at 0.6 x the mission.
+    The pinned ``config.base_onset_years`` wins; else the
+    :meth:`AgingAwareSta.onset` of ``unit_experiment`` (a
+    :class:`~repro.core.experiments.UnitExperiment`) on a coarse grid;
+    else, with no unit or no onset, mid-life at 0.6 x the mission.
     """
     if config.base_onset_years is not None:
         return float(config.base_onset_years)
@@ -144,13 +144,17 @@ def base_onset_years(config: CampaignConfig, unit_experiment=None) -> float:
     if unit_experiment is not None:
         from ..core.experiments import CLOCK_CHAIN_LENGTH
 
-        onset = LifetimeSimulator(
+        sta = AgingAwareSta(
             unit_experiment.netlist,
-            unit_experiment.sp_profile,
             config=unit_experiment.context.config.aging,
             gated_instances=unit_experiment.gated_instances(),
             clock_chain_length=CLOCK_CHAIN_LENGTH,
-        ).sweep((2.5, 5.0, 7.5, 10.0)).first_onset_years
+        )
+        onset = sta.onset(
+            unit_experiment.sp_profile,
+            sta.derive_period(),
+            (2.5, 5.0, 7.5, 10.0),
+        )
     if onset is None:
         onset = 0.6 * config.mission_years
     return float(onset)

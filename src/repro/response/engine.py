@@ -1,19 +1,18 @@
 """The response engine: evaluate reconfiguration policies on aged timing.
 
-Every policy evaluation reduces to the aged-timing primitive shared
-with the lifetime simulator and the surrogate's exact oracle —
-:meth:`~repro.sta.aging_sta.AgingAwareSta.at_age` selects the library
-characterized at an age, then aged STA runs at a period — plus, for
-the structural policies, netlist clone surgery checked by the lifting
-engine's sequential equivalence machinery:
+Every policy evaluation reduces to the onset search shared with the
+lifetime simulator and the surrogate's exact oracle —
+:meth:`~repro.sta.aging_sta.AgingAwareSta.onset` bisects the age grid
+for the first violating age — plus, for the structural policies,
+netlist clone surgery checked by the lifting engine's sequential
+equivalence machinery:
 
-* ``derate`` re-runs the aged STA at progressively longer periods
-  until the mission-age violations clear, then re-scans onset at the
-  chosen period — pure frequency cost;
+* ``derate`` bisects the derate grid for the shortest period whose
+  mission-age STA is clean, then re-searches onset — frequency cost;
 * ``resynth`` optimizes a clone (:func:`repro.netlist.opt.optimize`),
   *proves* the result equivalent, and models the violating cone's
   cells as fresh silicon (the re-synthesized cone replaces its aged
-  transistors) before re-scanning onset — area cost, exactness
+  transistors) before re-searching onset — area cost, exactness
   guaranteed;
 * ``approximate`` bypasses the violating endpoint's capture logic
   (rewiring its D pin to the driver's first fanin), sweeps the
@@ -30,7 +29,7 @@ and produces a byte-identical :class:`~repro.response.report
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import telemetry
 from ..core.artifacts import ArtifactCache
@@ -42,7 +41,7 @@ from ..netlist.opt import optimize
 from ..sim.gatesim import GateSimulator
 from ..sim.parallel_profile import profile_workload_streams
 from ..sim.probes import SPProfile
-from ..sta.aging_sta import AgingAwareSta
+from ..sta.aging_sta import CENSOR_FACTOR, AgingAwareSta, censor_onset
 from ..sta.timing import TimingViolation
 
 #: Checkpoint payload version; bump on incompatible layout changes.
@@ -116,57 +115,36 @@ class ResponseEngine:
             self._stas[netlist.name] = sta
         return sta
 
-    def _aged_report(
-        self,
-        netlist: Netlist,
-        profile: SPProfile,
-        age: float,
-        period: float,
-        fresh_instances: Sequence[str] = (),
-    ):
-        """Aged STA of ``netlist`` at ``age`` years and ``period`` ns.
-
-        ``fresh_instances`` are modelled at their un-aged cell delays —
-        the re-synthesis policy's "replaced cone" view.
-        """
-        sta = self._sta_for(netlist).at_age(age)
-        model, increase = sta.aged_delay_model(profile)
-        for name in fresh_instances:
-            inst = netlist.instances.get(name)
-            if inst is not None:
-                model.delays[name] = (inst.ctype.tmin, inst.ctype.tmax)
-        return sta.analyze(
-            profile,
-            clock_period_ns=period,
-            aged_model=model,
-            delay_increase=increase,
-        ).report
-
-    def onset_scan(
+    def onset_years(
         self,
         netlist: Netlist,
         profile: SPProfile,
         period: float,
         fresh_instances: Sequence[str] = (),
-    ) -> Tuple[Optional[float], Optional[TimingViolation]]:
-        """First violating age on the config grid, plus the worst path.
+    ) -> Tuple[float, bool]:
+        """(onset, censored?) on the config grid at ``period`` ns, with
+        ``fresh_instances`` at un-aged delays (a re-synthesized cone)."""
+        onset = self._sta_for(netlist).onset(
+            profile, period, self.config.age_grid, fresh_instances
+        )
+        return censor_onset(onset, self.config.age_grid)
 
-        Early-exits at the first violating age; ``(None, None)`` when
-        the whole horizon stays clean.
-        """
-        for age in self.config.age_grid:
-            report = self._aged_report(
-                netlist, profile, age, period, fresh_instances
-            )
-            if report.violations:
-                return float(age), report.representative_violations()[0]
-        return None, None
-
-    def _onset_value(self, onset: Optional[float]) -> Tuple[float, bool]:
-        if onset is None:
-            horizon = self.config.age_grid[-1]
-            return round(horizon * self.config.censor_factor, 6), True
-        return float(onset), False
+    def _baseline(self, period: float) -> dict:
+        """The unmitigated onset, and the worst path violating there
+        (one full aged STA) as the victim the policies act on."""
+        sta = self._sta_for(self.netlist)
+        with telemetry.span("response.baseline"):
+            onset = sta.onset(self.profile, period, self.config.age_grid)
+            if onset is None:
+                return {"onset": None, "victim": None}
+            report = sta.at_age(onset).analyze(
+                self.profile, clock_period_ns=period
+            ).report
+        victim = report.representative_violations()[0]
+        return {
+            "onset": float(onset),
+            "victim": (victim.start, victim.end, victim.kind),
+        }
 
     # -- cache keys -----------------------------------------------------
     def response_key(self) -> str:
@@ -181,7 +159,7 @@ class ResponseEngine:
             cfg.max_derate,
             cfg.mission_years,
             list(cfg.age_grid),
-            cfg.censor_factor,
+            CENSOR_FACTOR,
             cfg.equiv_depth,
             cfg.equiv_conflict_budget,
             cfg.accuracy_samples,
@@ -224,22 +202,15 @@ class ResponseEngine:
     ) -> dict:
         cfg = self.config
         steps = max(1, int(round(cfg.max_derate / cfg.derate_step)))
-        chosen = cfg.max_derate
-        for k in range(1, steps + 1):
-            derate = round(k * cfg.derate_step, 6)
-            report = self._aged_report(
-                self.netlist,
-                self.profile,
-                cfg.mission_years,
-                period * (1.0 + derate),
-            )
-            if not report.violations:
-                chosen = derate
-                break
-        onset, _ = self.onset_scan(
+        derates = [round(k * cfg.derate_step, 6) for k in range(1, steps + 1)]
+        periods = [period * (1.0 + derate) for derate in derates]
+        index = self._sta_for(self.netlist).first_clean(
+            self.profile, cfg.mission_years, periods
+        )
+        chosen = cfg.max_derate if index is None else derates[index]
+        new_onset, censored = self.onset_years(
             self.netlist, self.profile, period * (1.0 + chosen)
         )
-        new_onset, censored = self._onset_value(onset)
         return self._row(
             "derate",
             new_onset_years=new_onset,
@@ -288,10 +259,9 @@ class ResponseEngine:
                 applicable=False,
                 detail=f"endpoint {victim.end} has no surviving cone",
             )
-        onset, _ = self.onset_scan(
+        new_onset, censored = self.onset_years(
             clone, self.profile, period, fresh_instances=cone
         )
-        new_onset, censored = self._onset_value(onset)
         return self._row(
             "resynth",
             new_onset_years=new_onset,
@@ -403,8 +373,7 @@ class ResponseEngine:
         )
         accuracy = self._accuracy_cost(clone)
         profile = self._approx_profile(clone)
-        onset, _ = self.onset_scan(clone, profile, period)
-        new_onset, censored = self._onset_value(onset)
+        new_onset, censored = self.onset_years(clone, profile, period)
         return self._row(
             "approximate",
             new_onset_years=new_onset,
@@ -421,10 +390,35 @@ class ResponseEngine:
         )
 
     # -- the evaluation loop --------------------------------------------
+    def _checkpointed(
+        self,
+        key: str,
+        field: str,
+        label: str,
+        resume: bool,
+        compute: Callable[[], dict],
+    ) -> dict:
+        """``compute()`` published under ``key``, or on resume its
+        checkpointed ``field`` (recording ``label`` as resumed)."""
+        if resume and self.cache is not None:
+            payload = self.cache.load_checkpoint(key)
+            if (
+                isinstance(payload, dict)
+                and payload.get("version") == _CHECKPOINT_VERSION
+            ):
+                self.resumed_policies.append(label)
+                return payload[field]
+        value = compute()
+        if self.cache is not None:
+            self.cache.store_checkpoint(
+                key, {"version": _CHECKPOINT_VERSION, field: value}
+            )
+        return value
+
     def evaluate(self, resume: bool = False):
         """Evaluate every configured policy; return a ResponseReport.
 
-        With a cache, the baseline scan and each completed policy
+        With a cache, the baseline search and each completed policy
         publish checkpoints; ``resume=True`` reuses them, so a run
         killed mid-policy restarts at the first incomplete policy and
         still emits byte-identical JSON.
@@ -439,96 +433,49 @@ class ResponseEngine:
         cfg = self.config
         with telemetry.span("response.evaluate", unit=self.unit):
             period = self._sta_for(self.netlist).derive_period()
-            baseline_key = ArtifactCache.digest(
-                "response-baseline", self.response_key()
+            baseline = self._checkpointed(
+                ArtifactCache.digest("response-baseline", self.response_key()),
+                "baseline",
+                "baseline",
+                resume,
+                lambda: self._baseline(period),
             )
-            baseline = None
-            if resume and self.cache is not None:
-                payload = self.cache.load_checkpoint(baseline_key)
-                if (
-                    isinstance(payload, dict)
-                    and payload.get("version") == _CHECKPOINT_VERSION
-                ):
-                    baseline = payload["baseline"]
-                    self.resumed_policies.append("baseline")
-            if baseline is None:
-                with telemetry.span("response.baseline"):
-                    onset, victim = self.onset_scan(
-                        self.netlist, self.profile, period
-                    )
-                baseline = {
-                    "onset": onset,
-                    "victim": (
-                        (victim.start, victim.end, victim.kind)
-                        if victim is not None
-                        else None
-                    ),
-                }
-                if self.cache is not None:
-                    self.cache.store_checkpoint(
-                        baseline_key,
-                        {"version": _CHECKPOINT_VERSION,
-                         "baseline": baseline},
-                    )
             onset = baseline["onset"]
-            victim_tuple = baseline["victim"]
-            if onset is None or victim_tuple is None:
-                return ResponseReport(
-                    unit=self.unit,
-                    period_ns=round(period, 6),
-                    mission_years=cfg.mission_years,
-                    horizon_years=float(cfg.age_grid[-1]),
-                    censor_factor=cfg.censor_factor,
-                    baseline_onset_years=None,
-                    victim_start=None,
-                    victim_end=None,
-                    victim_kind=None,
-                    policies=[],
-                )
-            start, end, kind = victim_tuple
+            start, end, kind = baseline["victim"] or (None, None, None)
+            report = ResponseReport(
+                unit=self.unit,
+                period_ns=round(period, 6),
+                mission_years=cfg.mission_years,
+                horizon_years=float(cfg.age_grid[-1]),
+                censor_factor=CENSOR_FACTOR,
+                baseline_onset_years=onset,
+                victim_start=start,
+                victim_end=end,
+                victim_kind=kind,
+            )
+            if onset is None:
+                return report
             victim = TimingViolation(
                 kind=kind, start=start, end=end, cells=(),
                 arrival=0.0, required=0.0,
             )
-            rows: List[dict] = []
             for policy in cfg.policies:
                 evaluator = evaluators.get(policy)
                 if evaluator is None:
                     raise ValueError(f"unknown response policy {policy!r}")
-                key = self._policy_key(policy)
-                row = None
-                if resume and self.cache is not None:
-                    payload = self.cache.load_checkpoint(key)
-                    if (
-                        isinstance(payload, dict)
-                        and payload.get("version") == _CHECKPOINT_VERSION
-                    ):
-                        row = dict(payload["row"])
-                        self.resumed_policies.append(policy)
-                if row is None:
+
+                def run() -> dict:
                     with telemetry.span("response.policy", policy=policy):
-                        row = evaluator(period, float(onset), victim)
-                    if self.cache is not None:
-                        self.cache.store_checkpoint(
-                            key,
-                            {"version": _CHECKPOINT_VERSION, "row": row},
-                        )
+                        return evaluator(period, onset, victim)
+
+                row = self._checkpointed(
+                    self._policy_key(policy), "row", policy, resume, run
+                )
                 telemetry.event(
                     "response.policy_done",
                     policy=policy,
                     recovered_years=row["recovered_years"],
                     applicable=row["applicable"],
                 )
-                rows.append(row)
-            return ResponseReport(
-                unit=self.unit,
-                period_ns=round(period, 6),
-                mission_years=cfg.mission_years,
-                horizon_years=float(cfg.age_grid[-1]),
-                censor_factor=cfg.censor_factor,
-                baseline_onset_years=float(onset),
-                victim_start=start,
-                victim_end=end,
-                victim_kind=kind,
-                policies=rows,
-            )
+                report.policies.append(row)
+            return report

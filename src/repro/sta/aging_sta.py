@@ -6,13 +6,16 @@ value, ages the clock tree, and runs setup/hold STA at the pessimistic
 sign-off corner.  The result — the set of aging-prone paths and their
 unique endpoint pairs — is the input to Error Lifting.
 
-It is also the one place an age becomes aged timing: the lifetime
-sweep, the surrogate's exact oracle and the response engine all call
-:meth:`AgingAwareSta.at_age` and :meth:`AgingAwareSta.derive_period`.
+It is also the one place an age becomes aged timing (``at_age``,
+``derive_period``) and the one place a grid is searched: ``onset``
+bisects ages for the first violation and ``first_clean`` derated
+periods for the first clean check.  Both equal a linear scan because
+the violation bit is monotone in age and period (property-tested).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,6 +27,19 @@ from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile
 from .clocktree import ClockTree
 from .timing import DelayModel, StaReport, StaticTimingAnalyzer
+
+#: Onset of a device clean on the whole grid, as a multiple of the last
+#: age: finite, yet beyond every real onset (right-censored).
+CENSOR_FACTOR = 1.5
+
+
+def censor_onset(
+    onset: Optional[float], grid: Sequence[float]
+) -> Tuple[float, bool]:
+    """``(years, censored?)`` of an :meth:`AgingAwareSta.onset` result."""
+    if onset is None:
+        return round(CENSOR_FACTOR * grid[-1], 6), True
+    return float(onset), False
 
 
 @dataclass
@@ -69,6 +85,8 @@ class AgingAwareSta:
         self.corner = corner
         self._libs: Dict[float, AgingTimingLibrary] = {}
         self._period: Optional[float] = None
+        #: STA checks run by :meth:`probe`; callers count their share.
+        self.probes = 0
         if gated_instances is None:
             gated: Dict[str, float] = {}
         elif isinstance(gated_instances, Mapping):
@@ -125,16 +143,24 @@ class AgingAwareSta:
             )
         return self._period
 
-    def aged_delay_model(self, profile: SPProfile) -> Tuple[DelayModel, Dict[str, float]]:
-        """Per-instance aged delays + the Figure 8 delay-increase map."""
+    def aged_delay_model(
+        self, profile: SPProfile, fresh_instances: Sequence[str] = ()
+    ) -> Tuple[DelayModel, Dict[str, float]]:
+        """Per-instance aged delays + the Figure 8 delay-increase map;
+        ``fresh_instances`` keep un-aged delays (re-synthesized cells)."""
         if self.timing_lib is None:
             raise ValueError(
                 "AgingAwareSta has no timing library; call at_age() "
                 "or supply aged_model to analyze()"
             )
+        fresh = set(fresh_instances)
         delays: Dict[str, Tuple[float, float]] = {}
         increase: Dict[str, float] = {}
         for inst in self.netlist.instances.values():
+            if inst.name in fresh:
+                delays[inst.name] = (inst.ctype.tmin, inst.ctype.tmax)
+                increase[inst.name] = 0.0
+                continue
             sp = profile.sp.get(inst.output_net.name)
             if sp is None:
                 # Instrumentation cells absent from the profile age at
@@ -154,6 +180,67 @@ class AgingAwareSta:
             corner=self.corner,
         )
         return model, increase
+
+    def probe(
+        self,
+        profile: SPProfile,
+        period: float,
+        fresh_instances: Sequence[str] = (),
+    ) -> StaReport:
+        """Aged STA at the selected age, listing one path per endpoint.
+
+        Path caps bound how many violating paths a report lists, never
+        whether it lists one, so ``bool(report.violations)`` equals a
+        full :meth:`analyze`'s.
+        """
+        model, _ = self.aged_delay_model(profile, fresh_instances)
+        self.probes += 1
+        return StaticTimingAnalyzer(self.netlist, model).check(
+            period, max_paths_per_endpoint=1, max_total_paths=64
+        )
+
+    def onset(
+        self,
+        profile: SPProfile,
+        period: float,
+        grid: Sequence[float],
+        fresh_instances: Sequence[str] = (),
+    ) -> Optional[float]:
+        """First age on the ascending ``grid`` whose aged STA violates.
+
+        Probes the last age first, so a clean device costs one probe and
+        returns None; otherwise bisects the earlier ages.
+        """
+
+        def violates(index: int) -> bool:
+            return bool(
+                self.at_age(grid[index])
+                .probe(profile, period, fresh_instances)
+                .violations
+            )
+
+        last = len(grid) - 1
+        if not violates(last):
+            return None
+        # Monotone bits (clean..., violating...): bisect for the first.
+        return grid[bisect_left(range(last), True, key=violates)]
+
+    def first_clean(
+        self,
+        profile: SPProfile,
+        age_years: float,
+        periods: Sequence[float],
+    ) -> Optional[int]:
+        """Index of the first ascending period whose aged STA at
+        ``age_years`` is clean (setup slack rises with the period, hold
+        slack ignores it), or None."""
+        self.at_age(age_years)
+        index = bisect_left(
+            range(len(periods)),
+            True,
+            key=lambda i: not self.probe(profile, periods[i]).violations,
+        )
+        return index if index < len(periods) else None
 
     def analyze(
         self,

@@ -2,7 +2,7 @@
 
 Every row is one synthetic device: a workload-skewed SP profile at one
 operating corner, labeled by the exact charlib+STA oracle with its
-violation onset (right-censored at ``censor_factor * horizon``) and
+violation onset (right-censored at ``CENSOR_FACTOR * horizon``) and
 the worst setup slack at a sampled age.  Rows are a pure function of
 ``(config, row index)``:
 
@@ -38,6 +38,7 @@ from ..core.rng import stream_rng, stream_seed
 from ..netlist.cells import CellLibrary
 from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile
+from ..sta.aging_sta import CENSOR_FACTOR
 from .features import FEATURE_SCHEMA, FleetFeaturizer, feature_names
 from .oracle import ExactAgingOracle
 
@@ -237,7 +238,7 @@ def dataset_key(
             config.skew_max,
             config.noise,
             list(config.age_grid),
-            config.censor_factor,
+            CENSOR_FACTOR,
         ],
     )
 
@@ -301,7 +302,7 @@ def generate_dataset(
                 "skew_max": config.skew_max,
                 "noise": config.noise,
                 "age_grid": list(config.age_grid),
-                "censor_factor": config.censor_factor,
+                "censor_factor": CENSOR_FACTOR,
             }
         ),
         feature_names=feature_names(config.level_buckets),

@@ -40,6 +40,7 @@ from ..lifting.models import FailureModel
 from ..netlist.cells import CellLibrary
 from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile
+from ..sta.aging_sta import censor_onset
 from .dataset import device_sp_vector
 from .features import FleetFeaturizer
 from .model import RidgeSurrogate
@@ -77,18 +78,20 @@ def profiled_spec(
     """Exactly analyzed device spec for one fleet index.
 
     A pure function of ``index``: the onset comes from the exact
-    oracle (censored clean devices land at
-    ``oracle.censored_onset`` — strictly beyond the mission window, so
-    they are healthy), then the model draw continues the device's own
-    rng stream.  Analyzing any subset of indices, in any order, yields
-    the same specs as analyzing the full fleet.
+    oracle (clean devices land at the censored onset of
+    :func:`~repro.sta.aging_sta.censor_onset` — strictly beyond the
+    mission window, so they are healthy), then the model draw
+    continues the device's own rng stream.  Analyzing any subset of
+    indices, in any order, yields the same specs as analyzing the full
+    fleet.
     """
     rng, corner, intensity = fleet_draws(config, surrogate, index)
     sp = device_sp_vector(
         base_sp, intensity, surrogate.noise, config.seed, index
     )
-    onset = oracle.onset(featurizer.profile(sp), corner)
-    onset_years = oracle.censored_onset if onset is None else onset
+    onset_years, _ = censor_onset(
+        oracle.onset(featurizer.profile(sp), corner), oracle.age_grid
+    )
     faulty, model = assign_model(
         rng, list(models), onset_years, config.mission_years
     )
@@ -116,7 +119,7 @@ def profiled_fleet(
     """Exact per-device analysis for ``indices`` (default: all devices).
 
     This is the expensive path the surrogate exists to amortize: every
-    listed device pays a full oracle onset scan.
+    listed device pays an oracle onset search.
     """
     surrogate = surrogate or SurrogateConfig()
     featurizer = FleetFeaturizer(netlist, buckets=surrogate.level_buckets)

@@ -29,6 +29,23 @@ def collect_operand_streams(
     return streams["alu"], streams["fpu"]
 
 
+class _OperandLog(list):
+    """An operand log that keeps only its first ``limit`` entries.
+
+    A workload issues far more operations than a stream keeps (minver:
+    70k ALU and 44k FPU operations for 20k-entry streams), so dropping
+    the rest as they arrive avoids holding the whole run's log at once.
+    """
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def append(self, entry: Dict[str, int]) -> None:
+        if len(self) < self.limit:
+            super().append(entry)
+
+
 def collect_unit_streams(
     names: Sequence[str] = (REPRESENTATIVE,),
     max_ops_per_unit: int = 20_000,
@@ -39,12 +56,13 @@ def collect_unit_streams(
     mdu = GoldenMdu()
     for backend in (alu, fpu, mdu):
         backend.log_operands = True
+        backend.operand_log = _OperandLog(max_ops_per_unit)
     for name in names:
         workload = WORKLOADS[name]
         cpu = Cpu(assemble(workload.source), alu=alu, fpu=fpu, mdu=mdu)
         cpu.run()
     return {
-        "alu": alu.operand_log[:max_ops_per_unit],
-        "fpu": fpu.operand_log[:max_ops_per_unit],
-        "mdu": mdu.operand_log[:max_ops_per_unit],
+        "alu": list(alu.operand_log),
+        "fpu": list(fpu.operand_log),
+        "mdu": list(mdu.operand_log),
     }

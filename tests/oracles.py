@@ -6,6 +6,8 @@ production layer and must give bit-identical results:
 
 * :func:`reference_arrivals` / :func:`reference_sta` — the per-gate
   dict walk behind the numpy levelized STA propagation;
+* :func:`onset_linear` — the age-by-age scan behind the bisecting
+  :meth:`AgingAwareSta.onset`;
 * :func:`cover_fresh` / :func:`fresh_bmc` — the rebuild-per-depth BMC
   behind the incremental engine;
 * :func:`profile_operand_stream_reference` — scalar one-operand-per-
@@ -45,6 +47,7 @@ from repro.scheduler.belief import ArmSpec, FleetBelief
 from repro.scheduler.policy import Dispatch, PlanRequest, Policy, Schedule
 from repro.sim.gatesim import GateSimulator
 from repro.sim.probes import SPCounter, SPProfile
+from repro.sta.aging_sta import AgingAwareSta
 from repro.sta.timing import DelayModel, StaticTimingAnalyzer
 
 
@@ -96,6 +99,35 @@ def reference_sta():
 
     with mock.patch.object(StaticTimingAnalyzer, "propagate", propagate):
         yield
+
+
+def onset_linear(
+    sta: AgingAwareSta,
+    profile: SPProfile,
+    period: float,
+    grid: Sequence[float],
+    fresh_instances: Sequence[str] = (),
+) -> Optional[float]:
+    """First grid age whose full aged STA violates, scanning in order.
+
+    ``fresh_instances`` are patched to their un-aged cell delays after
+    the aged model is built, independent of ``aged_delay_model``'s own
+    handling.
+    """
+    for age in grid:
+        model, increase = sta.at_age(age).aged_delay_model(profile)
+        for name in fresh_instances:
+            ctype = sta.netlist.instances[name].ctype
+            model.delays[name] = (ctype.tmin, ctype.tmax)
+        result = sta.analyze(
+            profile,
+            clock_period_ns=period,
+            aged_model=model,
+            delay_increase=increase,
+        )
+        if result.report.violations:
+            return age
+    return None
 
 
 # -- BMC ----------------------------------------------------------------

@@ -158,3 +158,10 @@ class TestDeterminism:
             alu_netlist, profile, operands, seed=99
         )
         assert other_seed.response_key() != one.response_key()
+
+
+class TestResponseConfig:
+    @pytest.mark.parametrize("grid", [(), (2.0, 1.0), (1.0, 1.0)])
+    def test_rejects_grid_bisection_cannot_search(self, grid):
+        with pytest.raises(ValueError, match="age_grid"):
+            ResponseConfig(age_grid=grid)

@@ -503,3 +503,10 @@ class TestOracleOnset:
             experiment.netlist, experiment.sp_profile
         ).sweep(grid[: grid.index(onset) + 1])
         assert onset == swept.first_onset_years
+
+
+class TestSurrogateConfig:
+    @pytest.mark.parametrize("grid", [(), (2.0, 1.0), (1.0, 1.0)])
+    def test_rejects_grid_bisection_cannot_search(self, grid):
+        with pytest.raises(ValueError, match="age_grid"):
+            SurrogateConfig(age_grid=grid)
