@@ -20,7 +20,7 @@ population study:
 """
 
 from .engine import CampaignEngine, DeviceResult, SuiteOutcome
-from .fleet import DeviceSpec, device_draw, fleet_digest, sample_fleet
+from .fleet import DeviceSpec, fleet_digest, sample_fleet
 from .packed import PackedPrefilter, ReplayBackend, ReplayMismatch
 from .report import CampaignReport
 
@@ -33,7 +33,6 @@ __all__ = [
     "ReplayBackend",
     "ReplayMismatch",
     "SuiteOutcome",
-    "device_draw",
     "fleet_digest",
     "sample_fleet",
 ]

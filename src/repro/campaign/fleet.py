@@ -105,50 +105,6 @@ def assign_model(
     return faulty, model
 
 
-def device_draw(
-    config: CampaignConfig,
-    index: int,
-    base_onset_years: float,
-) -> Tuple[random.Random, OperatingCorner, float, str]:
-    """Corner / onset / mechanism draw for one device.
-
-    Returns ``(rng, corner, onset_years, mechanism)`` with the device's
-    ``campaign.fleet`` stream positioned exactly where
-    :func:`assign_model` expects it.  Shared by the natural sampler and
-    the adversarial sampler (:func:`repro.adversary.sample_attack_fleet`)
-    so both describe the *same individuals* — an attack fleet differs
-    from its natural twin only in the onset acceleration applied after
-    this draw.
-
-    The wearout-mechanism draw consumes its own ``campaign.mechanism``
-    stream and only when ``config.hci_fraction > 0``, so default
-    campaigns remain byte-identical to pre-HCI ones.  HCI-dominated
-    devices' onsets scale by ``hci_onset_scale`` divided by the
-    corner's ``hci_stress_scale`` (hotter corners toggle into wearout
-    faster).
-    """
-    rng = random.Random(stream_seed("campaign.fleet", config.seed, index))
-    corner = (
-        WORST_CORNER
-        if rng.random() < config.worst_corner_fraction
-        else TYPICAL_CORNER
-    )
-    onset = (
-        base_onset_years
-        * rng.lognormvariate(0.0, config.onset_sigma)
-        / _corner_acceleration(corner)
-    )
-    mechanism = "bti"
-    if config.hci_fraction > 0.0:
-        mech_rng = random.Random(
-            stream_seed("campaign.mechanism", config.seed, index)
-        )
-        if mech_rng.random() < config.hci_fraction:
-            mechanism = "hci"
-            onset *= config.hci_onset_scale / corner.hci_stress_scale
-    return rng, corner, onset, mechanism
-
-
 def sample_fleet(
     config: CampaignConfig,
     failing_models: Sequence[FailureModel],
@@ -161,13 +117,36 @@ def sample_fleet(
     sequence).  A device is *faulty* when its onset draw lands inside
     ``config.mission_years``; it is then assigned one model from the
     catalogue.  An empty catalogue yields an all-healthy fleet.
+
+    The wearout-mechanism draw consumes its own ``campaign.mechanism``
+    stream and only when ``config.hci_fraction > 0``, so default
+    campaigns remain byte-identical to pre-HCI ones.  HCI-dominated
+    devices' onsets scale by ``hci_onset_scale`` divided by the
+    corner's ``hci_stress_scale`` (hotter corners toggle into wearout
+    faster).
     """
     models = list(failing_models)
     fleet: List[DeviceSpec] = []
     for index in range(config.devices):
-        rng, corner, onset, mechanism = device_draw(
-            config, index, base_onset_years
+        rng = random.Random(stream_seed("campaign.fleet", config.seed, index))
+        corner = (
+            WORST_CORNER
+            if rng.random() < config.worst_corner_fraction
+            else TYPICAL_CORNER
         )
+        onset = (
+            base_onset_years
+            * rng.lognormvariate(0.0, config.onset_sigma)
+            / _corner_acceleration(corner)
+        )
+        mechanism = "bti"
+        if config.hci_fraction > 0.0:
+            mech_rng = random.Random(
+                stream_seed("campaign.mechanism", config.seed, index)
+            )
+            if mech_rng.random() < config.hci_fraction:
+                mechanism = "hci"
+                onset *= config.hci_onset_scale / corner.hci_stress_scale
         faulty, model = assign_model(
             rng, models, onset, config.mission_years
         )

@@ -21,7 +21,6 @@ trace          summarize a JSONL telemetry trace
 campaign       fleet-scale fault-injection campaigns (run / report)
 bench          canonical benchmark trajectory (compare / report)
 surrogate      ML aging surrogate (train / validate / triage)
-attack         adversarial wearout scenarios (search / run)
 respond        detection→response reconfiguration policies
 serve          online detection service (checkpoints, /metrics)
 schedule       adaptive dispatch schedule with replay verification
@@ -79,12 +78,12 @@ def _add_cache(p: argparse.ArgumentParser) -> None:
 
 
 def _add_checkpointed(p: argparse.ArgumentParser) -> None:
-    """Options of the resumable, traced verbs (run/campaign/attack/respond)."""
+    """Options of the resumable, traced verbs (run/campaign/respond)."""
     _add_workers(p)
     _add_cache(p)
     p.add_argument("--resume", action="store_true",
                    help="resume from the checkpoints in the artifact cache "
-                        "(phases, shards, rounds or policies)")
+                        "(phases, shards or policies)")
     p.add_argument("--trace", metavar="FILE",
                    help="write the JSONL telemetry trace to FILE")
     p.add_argument("--metrics", action="store_true",
@@ -120,28 +119,6 @@ def _add_surrogate_data(p: argparse.ArgumentParser) -> None:
                    help="surrogate seed; drives every dataset draw")
     _add_workers(p)
     _add_cache(p)
-
-
-def _add_attack_search(p: argparse.ArgumentParser) -> None:
-    """Arguments shared by ``attack search`` and ``attack run``."""
-    _add_unit(p)
-    p.add_argument("--attack-seed", type=int, default=99,
-                   help="adversary seed; drives every candidate, "
-                        "mutation, and attacked-subset draw")
-    p.add_argument("--candidates", type=_positive_int, default=8,
-                   help="seeded candidate streams (default: 8)")
-    p.add_argument("--rounds", type=int, default=3,
-                   help="beam-refinement rounds (default: 3)")
-    p.add_argument("--beam", type=_positive_int, default=3,
-                   help="survivors kept per round (default: 3)")
-    p.add_argument("--mutations", type=int, default=4,
-                   help="mutants per survivor per round (default: 4)")
-    p.add_argument("--stream-ops", type=_positive_int, default=192,
-                   help="operations per candidate stream")
-    p.add_argument("--lanes", type=_positive_int, default=64,
-                   help="packed profiling lanes per candidate")
-    _add_checkpointed(p)
-    _add_report(p, "result")
 
 
 def _add_scheduler(p: argparse.ArgumentParser) -> None:
@@ -293,33 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="render a CampaignReport JSON file as markdown"
     )
     p.add_argument("file", help="report JSON written by campaign run --report")
-
-    p = sub.add_parser(
-        "attack",
-        help="adversarial wearout scenarios: craft a stress-maximizing "
-             "workload and measure Vega's detection lead on the "
-             "attacked fleet",
-    )
-    attack_sub = p.add_subparsers(dest="attack_command", required=True)
-    p = attack_sub.add_parser(
-        "search",
-        help="search for the operand stream maximizing BTI stress on "
-             "the unit's violating cones",
-    )
-    _add_attack_search(p)
-    p = attack_sub.add_parser(
-        "run",
-        help="attack-fleet campaign: natural vs attacked twins at "
-             "equal suite budget, reporting detection lead",
-    )
-    _add_attack_search(p)
-    _add_mitigation(p)
-    _add_fleet(p, devices=12, suites="vega,random")
-    p.add_argument("--shard-size", type=_positive_int, default=4,
-                   help="devices per shard (the checkpoint/resume unit)")
-    p.add_argument("--attack-fraction", type=float, default=1.0,
-                   help="fraction of the fleet the attacker reaches")
-    _add_onset(p)
 
     p = sub.add_parser(
         "respond",
@@ -1087,81 +1037,6 @@ def cmd_integrate(args, out) -> int:
           f"({baseline.cycles} -> {result.cycles} cycles)", file=out)
     print(f"result preserved: {result.exit_value == baseline.exit_value}; "
           f"fault: {fault}", file=out)
-    return 0
-
-
-def cmd_attack(args, out) -> int:
-    from .adversary import (
-        AttackReport,
-        AttackSearch,
-        sample_attack_fleet,
-    )
-    from .core.config import AdversaryConfig
-
-    cache = _cache(args)
-    adv_config = AdversaryConfig(
-        seed=args.attack_seed,
-        candidates=args.candidates,
-        rounds=args.rounds,
-        beam=args.beam,
-        mutations=args.mutations,
-        stream_ops=args.stream_ops,
-        lanes=args.lanes,
-        workers=args.workers,
-    )
-    unit = default_context().unit(args.unit)
-    pairs = unit.sta_result.report.unique_endpoint_pairs()
-    search = AttackSearch(
-        unit.netlist, args.unit, unit.sp_profile, pairs,
-        config=adv_config, cache=cache,
-    )
-    result, _best_stream = search.run(resume=args.resume)
-    report = None
-    if args.attack_command == "run":
-        from .campaign import CampaignEngine
-        from .campaign.fleet import sample_fleet
-        from .core.config import CampaignConfig
-        from .core.lifetime import base_onset_years
-
-        config = CampaignConfig(
-            devices=args.devices,
-            seed=args.seed,
-            shard_size=args.shard_size,
-            workers=args.workers,
-            suites=_csv(args.suites),
-            base_onset_years=args.onset_years,
-        )
-        base = base_onset_years(config, unit)
-        models = unit.failure_models()
-        library = unit.suite(args.mitigation)
-        natural_fleet = sample_fleet(config, models, base)
-        attack_fleet = sample_attack_fleet(
-            config, models, base, result.acceleration,
-            attack_fraction=args.attack_fraction,
-            attack_seed=args.attack_seed,
-        )
-        campaigns = []
-        for fleet in (natural_fleet, attack_fleet):
-            engine = CampaignEngine(
-                unit.netlist, args.unit, library, models,
-                config=config, cache=cache, base_onset_years=base,
-                fleet=fleet,
-            )
-            campaigns.append(engine.run(resume=args.resume))
-        report = AttackReport.from_campaigns(
-            result, natural_fleet, attack_fleet,
-            campaigns[0], campaigns[1],
-            attack_fraction=args.attack_fraction,
-            attack_seed=args.attack_seed,
-            budget_instructions=config.max_suite_instructions,
-        )
-    print(result.summary(), file=out)
-    if search.resumed_rounds:
-        print(f"  resumed from round checkpoint "
-              f"(skipped {search.resumed_rounds} round(s))", file=out)
-    if report is not None:
-        print(report.summary(), file=out)
-    _write_report(args, report or result, out)
     return 0
 
 

@@ -262,51 +262,6 @@ class SurrogateConfig:
 
 
 @dataclass
-class AdversaryConfig:
-    """Targeted wearout-attack workload search (``repro.adversary``).
-
-    The attacker crafts operand streams that skew signal probabilities
-    toward the BTI-stressed state on chosen victim paths (targeted
-    wearout attacks, arXiv 2508.16868).  The search is a seeded
-    candidate pool refined by beam hill-climbing; every draw flows
-    through named ``adversary.*`` RNG streams keyed by ``seed``, and
-    candidate scoring reuses the packed SP profiler, so results are
-    byte-identical for any worker count.
-
-    Attributes:
-        seed: Seed for the ``adversary.*`` RNG streams (candidate
-            generation, mutation, attacked-subset draw).
-        candidates: Seeded candidate streams in the initial pool.
-        rounds: Beam-refinement rounds after seeding.  Round
-            checkpoints are keyed by round index (never by the total),
-            so a longer resumed search extends a shorter run's prefix.
-        beam: Survivors kept per round.
-        mutations: Mutants spawned per survivor per round.
-        stream_ops: Operations per candidate operand stream.
-        mutation_ops: Stream positions rewritten per mutation.
-        lanes: Packed stimulus lanes used when profiling candidates.
-        drain_cycles: Pipeline drain cycles appended per profile.
-        acceleration_cap: Upper bound on the attack's onset
-            acceleration factor (physical wearout saturates; an
-            unbounded power law would not).
-        workers: Fork workers for candidate profiling; 0 = one per
-            CPU.  Never enters cache keys or results.
-    """
-
-    seed: int = 99
-    candidates: int = 8
-    rounds: int = 3
-    beam: int = 3
-    mutations: int = 4
-    stream_ops: int = 192
-    mutation_ops: int = 24
-    lanes: int = 64
-    drain_cycles: int = 2
-    acceleration_cap: float = 6.0
-    workers: int = 1
-
-
-@dataclass
 class ResponseConfig:
     """Detection→response reconfiguration modelling (``repro.response``).
 
@@ -437,6 +392,5 @@ class VegaConfig:
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
-    adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
     response: ResponseConfig = field(default_factory=ResponseConfig)
     cache_dir: Optional[str] = None

@@ -317,60 +317,81 @@ class StaticTimingAnalyzer:
         return worst
 
     # -- checking --------------------------------------------------------
+    def _slacks(
+        self, dff: Instance, period_ns: float
+    ) -> Tuple[float, float, float, float]:
+        """``(setup_required, setup_slack, hold_required, hold_slack)``."""
+        d_net = dff.pins["D"]
+        setup_required = period_ns + self.delays.clk_early(dff) - dff.ctype.setup
+        hold_required = self.delays.clk_late(dff) + dff.ctype.hold
+        return (
+            setup_required,
+            setup_required - self._arrival_max[d_net.name],
+            hold_required,
+            self._arrival_min[d_net.name] - hold_required,
+        )
+
     def check(
         self,
         period_ns: float,
         max_paths_per_endpoint: int = 400,
         max_total_paths: int = 20000,
     ) -> StaReport:
-        """Run setup and hold checks; enumerate violating paths."""
+        """Run setup and hold checks; enumerate violating paths.
+
+        ``report.truncated`` is set only when a cap actually left a
+        violating path out: an endpoint had more than
+        ``max_paths_per_endpoint`` violating paths, or the walk stopped
+        at ``max_total_paths`` before a flop that still violates.
+        """
         if not self._propagated:
             self.propagate()
         import math
 
         report = StaReport(netlist_name=self.netlist.name, period_ns=period_ns)
         total = 0
-        for dff in self.netlist.dffs():
+        dffs = [
+            dff for dff in self.netlist.dffs()
+            # constant-fed flops have no transitions to time
+            if not math.isinf(self._arrival_max[dff.pins["D"].name])
+        ]
+        for position, dff in enumerate(dffs):
             d_net = dff.pins["D"]
-            if math.isinf(self._arrival_max[d_net.name]):
-                continue  # constant-fed flop: no transitions to time
-            setup_required = (
-                period_ns + self.delays.clk_early(dff) - dff.ctype.setup
+            setup_required, slack, hold_required, hold_slack = self._slacks(
+                dff, period_ns
             )
-            arrival = self._arrival_max[d_net.name]
-            slack = setup_required - arrival
             report.wns_setup_ns = min(report.wns_setup_ns, slack)
             if slack < 0:
-                paths = self._enumerate(
+                paths, dropped = self._enumerate(
                     d_net,
                     dff,
                     limit=setup_required,
                     late=True,
                     cap=max_paths_per_endpoint,
                 )
-                if len(paths) == max_paths_per_endpoint:
-                    report.truncated = True
+                report.truncated = report.truncated or dropped
                 report.violations.extend(paths)
                 total += len(paths)
 
-            hold_required = self.delays.clk_late(dff) + dff.ctype.hold
-            arrival_min = self._arrival_min[d_net.name]
-            hold_slack = arrival_min - hold_required
             report.wns_hold_ns = min(report.wns_hold_ns, hold_slack)
             if hold_slack < 0:
-                paths = self._enumerate(
+                paths, dropped = self._enumerate(
                     d_net,
                     dff,
                     limit=hold_required,
                     late=False,
                     cap=max_paths_per_endpoint,
                 )
-                if len(paths) == max_paths_per_endpoint:
-                    report.truncated = True
+                report.truncated = report.truncated or dropped
                 report.violations.extend(paths)
                 total += len(paths)
             if total >= max_total_paths:
-                report.truncated = True
+                # Dropped only if a flop left unchecked still violates
+                # (its setup or hold slack is negative).
+                report.truncated = report.truncated or any(
+                    min(self._slacks(rest, period_ns)[1::2]) < 0
+                    for rest in dffs[position + 1:]
+                )
                 break
         return report
 
@@ -381,13 +402,15 @@ class StaticTimingAnalyzer:
         limit: float,
         late: bool,
         cap: int,
-    ) -> List[TimingViolation]:
-        """All source-to-endpoint paths violating ``limit`` (bounded).
+    ) -> Tuple[List[TimingViolation], bool]:
+        """Source-to-endpoint paths violating ``limit``, at most ``cap``.
 
         For setup (late=True) a path violates when its late arrival
         exceeds ``limit``; for hold (late=False) when its early arrival
         falls below ``limit``.  Pruning uses the per-net arrival bounds,
         so the walk only explores prefixes that can still violate.
+        Returns at most ``cap`` paths and whether a violating path was
+        left out, found by enumerating ``cap + 1``.
         """
         arrivals = self._arrival_max if late else self._arrival_min
         results: List[TimingViolation] = []
@@ -396,7 +419,7 @@ class StaticTimingAnalyzer:
             return total > limit if late else total < limit
 
         def walk(net: Net, suffix: float, cells: Tuple[str, ...]) -> None:
-            if len(results) >= cap:
+            if len(results) > cap:
                 return
             bound = arrivals[net.name] + suffix
             if not violates(bound):
@@ -422,4 +445,4 @@ class StaticTimingAnalyzer:
                 walk(in_net, suffix + delay, (inst.name,) + cells)
 
         walk(d_net, 0.0, ())
-        return results
+        return results[:cap], len(results) > cap

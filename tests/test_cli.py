@@ -199,13 +199,11 @@ class TestVerbTelemetry:
         [
             (["campaign", "run", "--devices", "4", "--shard-size", "2",
               "--onset-years", "6"], "campaign.run"),
-            (["attack", "search", "--candidates", "2", "--rounds", "1",
-              "--beam", "1", "--stream-ops", "16", "--lanes", "8"],
-             "adversary.search"),
+            (["run"], "phase1.aging_analysis"),
             (["respond", "--policies", "derate",
               "--accuracy-samples", "8"], "response.evaluate"),
         ],
-        ids=["campaign-run", "attack-search", "respond"],
+        ids=["campaign-run", "run", "respond"],
     )
     def test_traced_verb_writes_trace_and_metrics(
         self, tmp_path, argv, root_span
@@ -276,11 +274,6 @@ class TestCountFlags:
         "argv",
         [
             ["campaign", "run", "--shard-size", "0"],
-            ["attack", "run", "--shard-size", "0"],
-            ["attack", "search", "--lanes", "0"],
-            ["attack", "search", "--candidates", "0"],
-            ["attack", "search", "--beam", "0"],
-            ["attack", "search", "--stream-ops", "0"],
             ["schedule", "--batch-size", "0"],
             ["serve", "--batch-size", "0"],
             ["campaign", "run", "--pack-width", "0"],

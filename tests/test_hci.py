@@ -24,7 +24,7 @@ from repro.aging import (
 from repro.aging.bti import SECONDS_PER_YEAR
 from repro.aging.charlib import AgingTimingLibrary
 from repro.aging.corners import TYPICAL_CORNER, WORST_CORNER
-from repro.campaign.fleet import assign_model, device_draw, sample_fleet
+from repro.campaign.fleet import CORNERS, assign_model, sample_fleet
 from repro.core.config import CampaignConfig
 from repro.cpu.alu_design import build_alu
 from repro.lifting.models import CMode, FailureModel, ViolationKind
@@ -179,15 +179,17 @@ class TestFleetMechanismDraw:
         hci_cfg = CampaignConfig(
             devices=8, seed=3, base_onset_years=6.0, hci_fraction=1.0
         )
-        for index in range(8):
-            _, corner_b, onset_b, mech_b = device_draw(bti_cfg, index, 6.0)
-            _, corner_h, onset_h, mech_h = device_draw(hci_cfg, index, 6.0)
-            assert corner_b.name == corner_h.name
-            assert mech_b == "bti" and mech_h == "hci"
-            expected = onset_b * (
-                hci_cfg.hci_onset_scale / corner_h.hci_stress_scale
+        bti = sample_fleet(bti_cfg, MODELS, 6.0)
+        hci = sample_fleet(hci_cfg, MODELS, 6.0)
+        for spec_b, spec_h in zip(bti, hci):
+            assert spec_b.corner == spec_h.corner
+            assert spec_b.mechanism == "bti" and spec_h.mechanism == "hci"
+            expected = spec_b.onset_years * (
+                hci_cfg.hci_onset_scale
+                / CORNERS[spec_h.corner].hci_stress_scale
             )
-            assert onset_h == pytest.approx(expected)
+            # Both onsets are rounded to 6 decimals by the sampler.
+            assert spec_h.onset_years == pytest.approx(expected, abs=2e-6)
 
 
 class TestAssignModelBoundary:

@@ -309,6 +309,34 @@ class TestOnsetBisection:
         )
 
 
+class TestTruncatedFlag:
+    """``StaReport.truncated`` is set exactly when a cap left a
+    violating path out of the report.
+
+    The aged ALU violates at one endpoint (``res_q_r31``) with 2, 4, 10
+    and 11 paths at 3, 5, 10 and 16 years, so these caps hit the path
+    count exactly, fall short of it, or exceed it.
+    """
+
+    @pytest.mark.parametrize("age", [3.0, 5.0, 10.0, 16.0])
+    @pytest.mark.parametrize(
+        "per_endpoint, total",
+        [(1, 64), (2, 64), (4, 64), (10, 64), (11, 64), (400, 4), (400, 10)],
+    )
+    def test_matches_uncapped_check(self, unit_sta, age, per_endpoint, total):
+        sta, profile = unit_sta("alu", WORST_CORNER.name, True)
+        model, _ = sta.at_age(age).aged_delay_model(profile)
+        analyzer = StaticTimingAnalyzer(sta.netlist, model)
+        period = sta.derive_period()
+        capped = analyzer.check(period, per_endpoint, total)
+        full = analyzer.check(period, 10**6, 10**9)
+        assert not full.truncated
+        assert all(v in full.violations for v in capped.violations)
+        assert capped.truncated == (
+            len(capped.violations) < len(full.violations)
+        )
+
+
 class TestArtifactExport:
     def _failing(self, paper_adder):
         models = [

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import CampaignEngine
+from repro.campaign import CampaignEngine, sample_fleet
 from repro.core import telemetry
 from repro.core.config import CampaignConfig, ErrorLiftingConfig
 from repro.cpu.alu_design import build_alu
@@ -121,6 +121,27 @@ class TestPackedEquivalence:
     ):
         packed = run_campaign(alu_netlist, vega_library, workers=2)
         assert packed.to_json() == serial_report.to_json()
+
+    def test_explicit_fleet_matches_serial(self, alu_netlist, vega_library):
+        """A ``fleet=`` override (here: halved onsets, every device
+        faulty) takes the packed path with the same equality contract."""
+        fleet = [
+            dataclasses.replace(
+                spec, onset_years=spec.onset_years / 2, faulty=True,
+                model=MODELS[spec.index % len(MODELS)],
+            )
+            for spec in sample_fleet(CONFIG, MODELS, CONFIG.base_onset_years)
+        ]
+
+        def run():
+            return CampaignEngine(
+                alu_netlist, "alu", vega_library, MODELS, CONFIG,
+                fleet=fleet,
+            ).run()
+
+        with unpacked_campaign():
+            serial = run()
+        assert run().to_json() == serial.to_json()
 
     def test_per_device_rows_match(
         self, alu_netlist, vega_library, serial_report

@@ -1,6 +1,6 @@
 """Tests for the detection→response reconfiguration engine.
 
-Pins the same contracts the campaign/adversary engines honour — policy
+Pins the same contracts the campaign engine honours — policy
 rows are pure functions of (netlist, profile, configs), byte-identical
 across worker counts and across a resume after a mid-run kill — plus
 per-policy sanity: derate pays frequency and nothing else, resynth is
@@ -12,9 +12,9 @@ import dataclasses
 
 import pytest
 
-from repro.adversary import generate_candidate
 from repro.core.artifacts import ArtifactCache
 from repro.core.config import AgingAnalysisConfig, ResponseConfig
+from repro.core.rng import stream_rng
 from repro.cpu.alu_design import build_alu
 from repro.response import ResponseEngine, ResponseReport
 from repro.sim.parallel_profile import profile_workload_streams
@@ -38,7 +38,9 @@ def alu_netlist():
 @pytest.fixture(scope="module")
 def operands(alu_netlist):
     ports = [(p.name, p.width) for p in alu_netlist.input_ports()]
-    return generate_candidate(ports, 48, 0, 3)  # uniform-mode stream
+    rng = stream_rng("adversary.candidate", 0, 3)  # 48 uniform operands
+    return [{name: rng.getrandbits(width) for name, width in ports}
+            for _ in range(48)]
 
 
 @pytest.fixture(scope="module")
