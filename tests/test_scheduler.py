@@ -2,6 +2,7 @@
 
 import asyncio
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -56,8 +57,6 @@ SCHED = SchedulerConfig(
     policy="thompson",
     policy_seed=7,
     batch_size=4,
-    batch_window=3,
-    ingest_queue=8,
     checkpoint_every=4,
     cycle_budget=40_000,
 )
@@ -566,6 +565,45 @@ class TestScheduleSession:
             records,
         )
         assert folded.digest() == outcome.belief.digest()
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedTrajectories:
+    """Event logs and reports pinned by sha256 (16-hex prefixes).
+
+    The digests cover the whole serve trajectory: dispatch order, tick
+    boundaries, result ``seq`` numbers, checkpoint placement, the
+    retire records and the ``run_id`` derived from the session key.
+    Any change to the dispatch loop that moves one event shows here.
+    """
+
+    @pytest.mark.parametrize(
+        "policy,log_sha,report_sha",
+        [
+            ("sequential", "3e13979ba86472cd", "27c608a1bb240dca"),
+            ("greedy", "744c00c77bcd23b6", "b4bda73d473f1b10"),
+            ("thompson", "76ef344e9a0b38d3", "79dc0b7c5d72616d"),
+        ],
+    )
+    def test_policy_trajectories(
+        self, alu_netlist, vega_library, policy, log_sha, report_sha
+    ):
+        sched = dataclasses.replace(SCHED, policy=policy)
+        outcome = make_session(alu_netlist, vega_library, sched=sched).run()
+        assert _sha(outcome.log.to_jsonl()) == log_sha
+        assert _sha(outcome.report.to_json()) == report_sha
+
+    def test_devices_park_across_ticks(self, alu_netlist, vega_library):
+        # 40 devices in batches of 4: most requests wait out several
+        # ticks before they are planned.
+        config = dataclasses.replace(CONFIG, devices=40)
+        outcome = make_session(alu_netlist, vega_library, config=config).run()
+        assert outcome.report.ticks > outcome.report.devices // 4
+        assert _sha(outcome.log.to_jsonl()) == "3b4b5d8068a3418a"
+        assert _sha(outcome.report.to_json()) == "9d6c250bc3c82ed0"
 
 
 # ---------------------------------------------------------------------
