@@ -51,8 +51,6 @@ def _run_policy(ctx, policy, fleet_seed, policy_seed):
         policy=policy,
         policy_seed=policy_seed,
         batch_size=16,
-        batch_window=4,
-        ingest_queue=64,
         checkpoint_every=1_000_000,
         cycle_budget=25_000,
     )

@@ -1,6 +1,6 @@
 """Scheduler service throughput — ingest rate and dispatch latency.
 
-The online service's costs are batching overhead (planning ticks) and
+The service's costs are batching overhead (planning ticks) and
 result ingestion (belief updates + event-log records).  This benchmark
 drives complete scheduled runs at 1, 4, and 16 simulated device
 clients and records:
@@ -39,8 +39,6 @@ def _session(ctx, clients):
         policy="thompson",
         policy_seed=7,
         batch_size=16,
-        batch_window=4,
-        ingest_queue=64,
         checkpoint_every=1_000_000,  # no checkpoint I/O in the timing
         cycle_budget=25_000,
     )

@@ -55,7 +55,7 @@ def device_outcome_key(spec: DeviceSpec) -> tuple:
     seed only enters for ``CMode.RANDOM`` models, whose ``fm_c`` port
     the co-simulation RNG drives.  Devices sharing a key share one
     simulation — the fleet-level dedup that makes large campaigns
-    cheap.  The online scheduler's client adapter memoizes per-arm
+    cheap.  The scheduler's ``FleetAdapter`` memoizes per-arm
     outcomes under the same key.
     """
     if not spec.faulty:

@@ -134,10 +134,6 @@ def _add_scheduler(p: argparse.ArgumentParser) -> None:
                    help="per-device cycle budget (default: 25000)")
     p.add_argument("--batch-size", type=_positive_int, default=16,
                    help="max dispatches per planning tick")
-    p.add_argument("--batch-window", type=int, default=4,
-                   help="scheduler passes to wait for a full batch")
-    p.add_argument("--queue", type=_positive_int, default=64,
-                   help="ingest queue bound (backpressure threshold)")
     p.add_argument("--checkpoint-every", type=_positive_int, default=25,
                    help="belief checkpoint period, in ingested results")
     p.add_argument("--strategy", choices=("sequential", "random"),
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the online detection service over a simulated fleet "
-             "(streaming ingestion, belief checkpoints, event log)",
+             "(belief checkpoints, event log)",
     )
     _add_scheduler(p)
     p.add_argument("--kill-after", type=int, default=None, metavar="N",
@@ -920,8 +916,6 @@ def _scheduler_session(args):
         policy=args.policy,
         policy_seed=args.policy_seed,
         batch_size=args.batch_size,
-        batch_window=args.batch_window,
-        ingest_queue=args.queue,
         checkpoint_every=args.checkpoint_every,
         cycle_budget=args.budget,
     )

@@ -314,12 +314,12 @@ class ResponseConfig:
 
 @dataclass
 class SchedulerConfig:
-    """Online fleet scheduler & detection service (``repro.scheduler``).
+    """Fleet scheduler & detection service (``repro.scheduler``).
 
-    The scheduler turns the batch campaign into a service: simulated
-    device clients request test plans, execute them, and stream results
-    back; a dispatch policy decides which test each device runs next
-    from the fleet's aging belief state.
+    The scheduler turns the batch campaign into a service: each tick a
+    dispatch policy decides which test each device of a batch runs next
+    from the fleet's aging belief state, the devices run it, and the
+    verdicts fold back into the belief.
 
     Attributes:
         policy: Dispatch policy name — ``"sequential"`` (static
@@ -331,15 +331,8 @@ class SchedulerConfig:
             Thompson policy draws randomness; draws are keyed by
             ``(policy_seed, tick, device_index)`` so scheduling is
             byte-deterministic).
-        batch_size: Maximum plan requests dispatched per batch (one
-            scheduling *tick*).
-        batch_window: Virtual deadline — event-loop passes the batcher
-            waits after the first pending request before closing a
-            partial batch.
-        ingest_queue: Bound of the result-ingestion queue.  A full
-            queue rejects ``submit_result`` with a retry-after;
-            rejections are operational telemetry only and never enter
-            the deterministic event log.
+        batch_size: Maximum devices planned per batch (one scheduling
+            *tick*).
         checkpoint_every: Ingested-event interval between belief
             checkpoints.  Checkpoints land on tick boundaries so a
             restarted service resumes from a consistent belief state.
@@ -356,17 +349,15 @@ class SchedulerConfig:
     policy: str = "thompson"
     policy_seed: int = 7
     batch_size: int = 16
-    batch_window: int = 4
-    ingest_queue: int = 64
     checkpoint_every: int = 25
     cycle_budget: int = 25_000
     fleet_blend: float = 0.5
 
     def __post_init__(self) -> None:
-        # Counts: a zero batch would slice no requests on every tick
-        # and never drain the fleet; a zero queue bound or checkpoint
-        # period has no meaning.
-        for name in ("batch_size", "ingest_queue", "checkpoint_every"):
+        # Counts: a zero batch would slice no devices on every tick
+        # and never drain the fleet; a zero checkpoint period has no
+        # meaning.
+        for name in ("batch_size", "checkpoint_every"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")

@@ -45,7 +45,7 @@ from ..sta.aging_sta import CENSOR_FACTOR, AgingAwareSta, censor_onset
 from ..sta.timing import TimingViolation
 
 #: Checkpoint payload version; bump on incompatible layout changes.
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def _profile_digest(profile: SPProfile) -> str:
@@ -129,22 +129,42 @@ class ResponseEngine:
         )
         return censor_onset(onset, self.config.age_grid)
 
+    def mission_slack_ns(
+        self,
+        netlist: Netlist,
+        profile: SPProfile,
+        period: float,
+        fresh_instances: Sequence[str] = (),
+    ) -> float:
+        """Setup WNS at the mission age: unlike the onset, never
+        censored, so it ranks policies whose onsets all leave the
+        grid."""
+        sta = self._sta_for(netlist).at_age(self.config.mission_years)
+        report = sta.probe(profile, period, fresh_instances)
+        return round(report.wns_setup_ns, 6)
+
     def _baseline(self, period: float) -> dict:
         """The unmitigated onset, and the worst path violating there
         (one full aged STA) as the victim the policies act on."""
         sta = self._sta_for(self.netlist)
         with telemetry.span("response.baseline"):
+            baseline = {
+                "onset": None,
+                "victim": None,
+                "mission_slack_ns": self.mission_slack_ns(
+                    self.netlist, self.profile, period
+                ),
+            }
             onset = sta.onset(self.profile, period, self.config.age_grid)
             if onset is None:
-                return {"onset": None, "victim": None}
+                return baseline
             report = sta.at_age(onset).analyze(
                 self.profile, clock_period_ns=period
             ).report
         victim = report.representative_violations()[0]
-        return {
-            "onset": float(onset),
-            "victim": (victim.start, victim.end, victim.kind),
-        }
+        baseline["onset"] = float(onset)
+        baseline["victim"] = (victim.start, victim.end, victim.kind)
+        return baseline
 
     # -- cache keys -----------------------------------------------------
     def response_key(self) -> str:
@@ -188,6 +208,7 @@ class ResponseEngine:
             "new_onset_years": 0.0,
             "censored": False,
             "recovered_years": 0.0,
+            "mission_slack_ns": None,
             "frequency_cost_pct": 0.0,
             "accuracy_cost_pct": 0.0,
             "area_delta_cells": 0,
@@ -208,18 +229,22 @@ class ResponseEngine:
             self.profile, cfg.mission_years, periods
         )
         chosen = cfg.max_derate if index is None else derates[index]
+        derated = period * (1.0 + chosen)
         new_onset, censored = self.onset_years(
-            self.netlist, self.profile, period * (1.0 + chosen)
+            self.netlist, self.profile, derated
         )
         return self._row(
             "derate",
             new_onset_years=new_onset,
             censored=censored,
             recovered_years=round(new_onset - baseline_onset, 6),
+            mission_slack_ns=self.mission_slack_ns(
+                self.netlist, self.profile, derated
+            ),
             frequency_cost_pct=round(chosen * 100.0, 6),
             detail=(
                 f"clock period +{chosen * 100.0:.0f}% "
-                f"({period * (1.0 + chosen):.4f} ns)"
+                f"({derated:.4f} ns)"
             ),
         )
 
@@ -267,6 +292,9 @@ class ResponseEngine:
             new_onset_years=new_onset,
             censored=censored,
             recovered_years=round(new_onset - baseline_onset, 6),
+            mission_slack_ns=self.mission_slack_ns(
+                clone, self.profile, period, fresh_instances=cone
+            ),
             area_delta_cells=len(cone),
             equivalent=verdict.equivalent,
             detail=(
@@ -379,6 +407,7 @@ class ResponseEngine:
             new_onset_years=new_onset,
             censored=censored,
             recovered_years=round(new_onset - baseline_onset, 6),
+            mission_slack_ns=self.mission_slack_ns(clone, profile, period),
             accuracy_cost_pct=accuracy,
             area_delta_cells=-swept,
             equivalent=verdict.equivalent,
@@ -449,6 +478,7 @@ class ResponseEngine:
                 horizon_years=float(cfg.age_grid[-1]),
                 censor_factor=CENSOR_FACTOR,
                 baseline_onset_years=onset,
+                baseline_mission_slack_ns=baseline["mission_slack_ns"],
                 victim_start=start,
                 victim_end=end,
                 victim_kind=kind,

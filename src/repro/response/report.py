@@ -25,6 +25,8 @@ class ResponseReport:
         censored           True when no violation inside the scan
                            horizon (onset is horizon * censor_factor)
         recovered_years    new onset minus the baseline onset
+        mission_slack_ns   setup WNS at the mission age after the
+                           response (never censored)
         frequency_cost_pct clock-period stretch (derate only)
         accuracy_cost_pct  output-mismatch % over sampled operands
                            (approximate only)
@@ -43,6 +45,8 @@ class ResponseReport:
     victim_start: Optional[str]
     victim_end: Optional[str]
     victim_kind: Optional[str]
+    #: Setup WNS at the mission age with no response applied.
+    baseline_mission_slack_ns: Optional[float] = None
     policies: List[dict] = field(default_factory=list)
 
     # -- serialization -------------------------------------------------
@@ -67,9 +71,10 @@ class ResponseReport:
             f"response: {self.unit} signed off at {self.period_ns:.4f} ns; "
             f"first violation {self.victim_start} ~> {self.victim_end} "
             f"({self.victim_kind}) at {self.baseline_onset_years:.1f}y "
-            f"(mission {self.mission_years:.0f}y)",
-            "  policy      | new onset | recovered | freq cost "
-            "| accuracy | cells",
+            f"(mission {self.mission_years:.0f}y, mission slack "
+            f"{self.baseline_mission_slack_ns:+.4f} ns)",
+            "  policy      | new onset | recovered | slack@mission "
+            "| freq cost | accuracy | cells",
         ]
         censored_note = False
         for row in self.policies:
@@ -84,6 +89,7 @@ class ResponseReport:
             lines.append(
                 f"  {row['policy']:<11s} | {row['new_onset_years']:8.2f}y{mark}"
                 f"| {row['recovered_years']:+8.2f}y "
+                f"| {row['mission_slack_ns']:+10.4f} ns "
                 f"| {row['frequency_cost_pct']:8.1f}% "
                 f"| {row['accuracy_cost_pct']:7.2f}% "
                 f"| {row['area_delta_cells']:+d}"

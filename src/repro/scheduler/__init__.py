@@ -2,10 +2,10 @@
 
 The offline campaign (:mod:`repro.campaign`) answers "what would the
 fleet look like if every device ran every suite".  This package runs
-the same fleet as an *online service*: devices request their next test,
-stream verdicts back, and a per-device aging belief state steers what
-gets dispatched next — detection value per cycle instead of a fixed
-test list.
+the same fleet as a *detection service*: each tick plans the next test
+for a batch of devices, runs it, and folds the verdicts into a
+per-device aging belief state that steers what gets dispatched next —
+detection value per cycle instead of a fixed test list.
 
 Modules:
 
@@ -15,12 +15,13 @@ Modules:
 * :mod:`~repro.scheduler.policy` — sequential / greedy /
   Thompson-sampling dispatch policies; pure functions of a belief
   snapshot.
-* :mod:`~repro.scheduler.service` — the asyncio service: batching,
-  bounded-queue backpressure, belief checkpoints, graceful drain, and
-  the deterministic TRACE_SCHEMA event log.
-* :mod:`~repro.scheduler.replay` — simulated device clients over the
-  campaign's :class:`~repro.campaign.engine.DeviceRunner`, session
-  driver, schedule reports, byte-exact replay verification.
+* :mod:`~repro.scheduler.service` — the synchronous dispatch loop:
+  batching, belief checkpoints, drain, and the deterministic
+  TRACE_SCHEMA event log.
+* :mod:`~repro.scheduler.replay` — arm execution on the fleet's
+  simulated devices through the campaign's
+  :class:`~repro.campaign.engine.DeviceRunner`, session driver,
+  schedule reports, byte-exact replay verification.
 
 The service runs in one process.  ``repro serve --metrics-port`` exposes
 its telemetry counters as Prometheus text through
@@ -44,12 +45,7 @@ from .replay import (
     build_arms,
     verify_replay,
 )
-from .service import (
-    DetectionService,
-    EventLog,
-    ResultEvent,
-    RetryAfter,
-)
+from .service import DetectionService, EventLog, ResultEvent
 
 __all__ = [
     "ArmSpec",
@@ -63,7 +59,6 @@ __all__ = [
     "POLICIES",
     "Policy",
     "ResultEvent",
-    "RetryAfter",
     "Schedule",
     "ScheduleOutcome",
     "ScheduleReport",

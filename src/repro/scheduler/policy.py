@@ -242,7 +242,6 @@ class ThompsonPolicy(Policy):
 
 POLICIES: Dict[str, Callable[[int], Policy]] = {
     "sequential": SequentialPolicy,
-    "round_robin": SequentialPolicy,  # alias: static-order baseline
     "greedy": GreedyPolicy,
     "thompson": ThompsonPolicy,
 }

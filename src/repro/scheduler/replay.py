@@ -3,12 +3,11 @@
 :class:`ScheduleSession` is the scheduler-side sibling of
 :class:`~repro.campaign.engine.CampaignEngine`: it samples the same
 virtual fleet (same ``campaign.fleet`` RNG streams, so a campaign and a
-scheduled run over one config see identical devices), turns each device
-into a simulated asyncio client with its ground-truth failure model,
-and drives :class:`~repro.scheduler.service.DetectionService` to
-completion.
+scheduled run over one config see identical devices) and serves it with
+:class:`~repro.scheduler.service.DetectionService`, each device carrying
+its ground-truth failure model.
 
-Clients execute dispatched arms through the campaign's
+Dispatched arms execute through the campaign's
 :class:`~repro.campaign.engine.DeviceRunner` — per-case arms run
 single-test :class:`~repro.integration.library_gen.AgingLibrary`
 suites, baseline arms reuse :meth:`DeviceRunner.suite_outcome` — with
@@ -25,9 +24,8 @@ down by re-running and diffing the logs byte for byte.
 
 from __future__ import annotations
 
-import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.engine import DeviceRunner, device_outcome_key
@@ -40,12 +38,7 @@ from ..lifting.models import FailureModel
 from ..netlist.netlist import Netlist
 from .belief import BROAD_CLASS, ArmSpec, FleetBelief, arms_digest
 from .policy import Dispatch, make_policy
-from .service import (
-    DetectionService,
-    EventLog,
-    ResultEvent,
-    RetryAfter,
-)
+from .service import DetectionService, EventLog, ResultEvent
 
 
 @dataclass
@@ -204,7 +197,7 @@ class ScheduleOutcome:
 
 
 class FleetAdapter:
-    """Executes dispatched arms for simulated device clients.
+    """Executes dispatched arms on the fleet's simulated devices.
 
     Wraps the campaign's :class:`DeviceRunner` so gate-level backends,
     instrumented netlists, and assembled programs are all built once
@@ -230,16 +223,7 @@ class FleetAdapter:
         memo = self._memo.get(key)
         if memo is not None:
             telemetry.add("scheduler.outcome_memo_hits")
-            return ResultEvent(
-                device_id=spec.device_id,
-                device_index=spec.index,
-                arm=dispatch.arm,
-                class_label=dispatch.class_label,
-                detected=memo.detected,
-                stalled=memo.stalled,
-                cycles=memo.cycles,
-                detected_by=memo.detected_by,
-            )
+            return replace(memo, device_id=spec.device_id)
         result = self._execute_fresh(spec, dispatch)
         self._memo[key] = result
         return result
@@ -264,9 +248,7 @@ class FleetAdapter:
             )
             return ResultEvent(
                 device_id=spec.device_id,
-                device_index=spec.index,
                 arm=dispatch.arm,
-                class_label=dispatch.class_label,
                 detected=verdict.detected,
                 stalled=verdict.stalled,
                 cycles=verdict.cycles,
@@ -275,9 +257,7 @@ class FleetAdapter:
         outcome = self.runner.suite_outcome(dispatch.kind, spec)
         return ResultEvent(
             device_id=spec.device_id,
-            device_index=spec.index,
             arm=dispatch.arm,
-            class_label=dispatch.class_label,
             detected=outcome.detected,
             stalled=outcome.stalled,
             cycles=outcome.cycles,
@@ -395,9 +375,9 @@ class ScheduleSession:
         """Content-addressed identity of this scheduled run.
 
         Every input that changes the trajectory enters — including the
-        batching/queue knobs, because they change the order evidence
-        arrives in and therefore the belief's path (unlike the
-        campaign's ``workers``, which never does).
+        batch size, because it changes the order evidence arrives in
+        and therefore the belief's path (unlike the campaign's
+        ``workers``, which never does).
         """
         config = self.config
         sched = self.scheduler
@@ -421,8 +401,10 @@ class ScheduleSession:
                 sched.policy,
                 sched.policy_seed,
                 sched.batch_size,
-                sched.batch_window,
-                sched.ingest_queue,
+                # The deleted batch-window and ingest-queue knobs' values:
+                # keeps checkpoint keys and log run ids unchanged.
+                4,
+                64,
                 sched.checkpoint_every,
                 sched.cycle_budget,
                 sched.fleet_blend,
@@ -514,7 +496,7 @@ class ScheduleSession:
                 for spec in fleet
                 if not belief.device_done(spec.device_id, arms)
             ]
-            asyncio.run(self._drive(service, adapter, active))
+            service.run(active, adapter.execute)
             if span is not None:
                 span.annotate(
                     ticks=service.tick,
@@ -541,41 +523,6 @@ class ScheduleSession:
             and service.events_ingested >= kill_after_events,
             resumed=resumed,
         )
-
-    async def _drive(
-        self,
-        service: DetectionService,
-        adapter: FleetAdapter,
-        specs: Sequence[DeviceSpec],
-    ) -> None:
-        clients = [
-            asyncio.ensure_future(self._client(service, adapter, spec))
-            for spec in specs
-        ]
-        await asyncio.gather(service.run(), *clients)
-
-    async def _client(
-        self,
-        service: DetectionService,
-        adapter: FleetAdapter,
-        spec: DeviceSpec,
-    ) -> None:
-        """One simulated device: request, execute, stream back, repeat."""
-        while True:
-            dispatch = await service.request_plan(
-                spec.device_id, spec.index
-            )
-            if dispatch is None:
-                return
-            result = adapter.execute(spec, dispatch)
-            while True:
-                try:
-                    await service.submit_result(result)
-                    break
-                except RetryAfter as exc:
-                    telemetry.add("scheduler.client_retries")
-                    for _ in range(exc.retry_after):
-                        await asyncio.sleep(0)
 
 
 def verify_replay(

@@ -277,8 +277,6 @@ class TestCountFlags:
             ["schedule", "--batch-size", "0"],
             ["serve", "--batch-size", "0"],
             ["campaign", "run", "--pack-width", "0"],
-            ["schedule", "--queue", "0"],
-            ["serve", "--queue", "0"],
             ["schedule", "--checkpoint-every", "0"],
             ["serve", "--checkpoint-every", "0"],
         ],

@@ -1,6 +1,5 @@
 """Tests for the online fleet scheduler (repro.scheduler)."""
 
-import asyncio
 import dataclasses
 import hashlib
 import json
@@ -25,8 +24,6 @@ from repro.scheduler import (
     DetectionService,
     EventLog,
     FleetBelief,
-    ResultEvent,
-    RetryAfter,
     ScheduleReport,
     ScheduleSession,
     build_arms,
@@ -184,7 +181,7 @@ class TestPolicies:
         ]
 
     @pytest.mark.parametrize(
-        "name", ["sequential", "greedy", "thompson", "round_robin"]
+        "name", ["sequential", "greedy", "thompson"]
     )
     def test_policies_are_deterministic(self, name):
         fleet = _fleet()
@@ -248,121 +245,20 @@ class TestPolicies:
 # ---------------------------------------------------------------------
 # Service mechanics (no fleet execution needed)
 # ---------------------------------------------------------------------
-def _service(queue=2):
+def _service():
     fleet = _fleet()
     belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
     arms = [ArmSpec("a", "case", _classes()[0], 10, 0)]
-    sched = dataclasses.replace(SCHED, ingest_queue=queue)
     return DetectionService(
         belief=belief,
         arms=arms,
         policy=make_policy("sequential"),
-        config=sched,
+        config=SCHED,
         log=EventLog(run_id="test"),
     ), fleet
 
 
 class TestServiceMechanics:
-    def test_full_ingest_queue_raises_retry_after(self):
-        service, fleet = _service(queue=2)
-
-        async def drive():
-            for k in range(2):
-                await service.submit_result(
-                    ResultEvent(
-                        device_id=fleet[k].device_id,
-                        device_index=fleet[k].index,
-                        arm="a",
-                        class_label=_classes()[0],
-                        detected=False,
-                        stalled=False,
-                        cycles=10,
-                    )
-                )
-            with pytest.raises(RetryAfter) as exc:
-                await service.submit_result(
-                    ResultEvent(
-                        device_id=fleet[2].device_id,
-                        device_index=fleet[2].index,
-                        arm="a",
-                        class_label=_classes()[0],
-                        detected=False,
-                        stalled=False,
-                        cycles=10,
-                    )
-                )
-            assert exc.value.retry_after >= 1
-
-        asyncio.run(drive())
-
-    def test_retry_after_scales_with_queue_occupancy(self):
-        # Regression: the hint used to be a constant 1, so every
-        # client of a saturated service retried on the very next pass.
-        service, fleet = _service(queue=12)
-
-        def event(k):
-            dev = fleet[k % len(fleet)]
-            return ResultEvent(
-                device_id=dev.device_id,
-                device_index=dev.index,
-                arm="a",
-                class_label=_classes()[0],
-                detected=False,
-                stalled=False,
-                cycles=10,
-            )
-
-        hints = []
-
-        async def drive():
-            for k in range(12):
-                await service.submit_result(event(k))
-                hints.append(service._retry_hint())
-            with pytest.raises(RetryAfter) as exc:
-                await service.submit_result(event(12))
-            assert exc.value.retry_after == hints[-1]
-
-        asyncio.run(drive())
-        # Monotone non-decreasing in occupancy, strictly larger for a
-        # full queue than a near-empty one.
-        assert hints == sorted(hints)
-        assert hints[-1] > hints[0]
-
-    def test_fuller_service_advertises_longer_backoff(self):
-        def saturate(queue):
-            service, fleet = _service(queue=queue)
-
-            async def drive():
-                for k in range(queue):
-                    await service.submit_result(
-                        ResultEvent(
-                            device_id=fleet[k % len(fleet)].device_id,
-                            device_index=fleet[k % len(fleet)].index,
-                            arm="a",
-                            class_label=_classes()[0],
-                            detected=False,
-                            stalled=False,
-                            cycles=10,
-                        )
-                    )
-                with pytest.raises(RetryAfter) as exc:
-                    await service.submit_result(
-                        ResultEvent(
-                            device_id=fleet[0].device_id,
-                            device_index=fleet[0].index,
-                            arm="a",
-                            class_label=_classes()[0],
-                            detected=False,
-                            stalled=False,
-                            cycles=10,
-                        )
-                    )
-                return exc.value.retry_after
-
-            return asyncio.run(drive())
-
-        assert saturate(12) > saturate(4) >= 1
-
     def test_checkpoint_state_roundtrips_belief(self):
         service, fleet = _service()
         arm = service.arms[0]
@@ -421,20 +317,11 @@ class TestScheduleSession:
         assert len(case_arms) == len(vega_library.test_cases)
         assert all(a.class_label != BROAD_CLASS for a in case_arms)
 
-    @pytest.mark.parametrize(
-        "batch_size,batch_window,ingest_queue",
-        [(16, 3, 32), (4, 3, 8), (2, 1, 2), (3, 0, 1)],
-    )
+    @pytest.mark.parametrize("batch_size", [16, 4, 2, 3])
     def test_live_equals_replay_at_any_configuration(
-        self, alu_netlist, vega_library, batch_size, batch_window,
-        ingest_queue,
+        self, alu_netlist, vega_library, batch_size
     ):
-        sched = dataclasses.replace(
-            SCHED,
-            batch_size=batch_size,
-            batch_window=batch_window,
-            ingest_queue=ingest_queue,
-        )
+        sched = dataclasses.replace(SCHED, batch_size=batch_size)
         session = make_session(alu_netlist, vega_library, sched=sched)
         outcome = session.run()
         matches, replayed = verify_replay(session, outcome)
@@ -607,7 +494,7 @@ class TestPinnedTrajectories:
 
 
 # ---------------------------------------------------------------------
-# Service bookkeeping: retry hints, drain accounting
+# Service bookkeeping: config validation, retire accounting
 # ---------------------------------------------------------------------
 class TestSchedulerConfig:
     @pytest.mark.parametrize("batch_size", [0, -1])
@@ -617,81 +504,31 @@ class TestSchedulerConfig:
         with pytest.raises(ValueError, match="batch_size"):
             SchedulerConfig(batch_size=batch_size)
 
-    @pytest.mark.parametrize("field", ["ingest_queue", "checkpoint_every"])
+    @pytest.mark.parametrize("field", ["checkpoint_every"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_counts_below_one(self, field, value):
         with pytest.raises(ValueError, match=field):
             SchedulerConfig(**{field: value})
 
 
-class TestRetryHintInFlight:
-    def test_hint_accounts_for_outstanding_batch(self):
-        service, fleet = _service()
-        batch = SCHED.batch_size
-        # Saturate the buffer and put a full batch in flight.
-        service._buffer = [object()] * batch
-        service._outstanding = {
-            spec.device_id: None for spec in fleet[:batch]
-        }
-        hint = service._retry_hint()
-        # One pass to drain the backlog + one for the in-flight batch.
-        assert hint == 2
-        # The old hint ignored the in-flight batch entirely: with the
-        # window at zero it said 1 — an immediate re-collision.
-        service._window = 0
-        assert hint > 1
-
-    def test_hint_monotone_in_outstanding_depth(self):
-        service, fleet = _service()
-        service._buffer = [object()] * 4
-        hints = []
-        for depth in (0, 4, 8):
-            service._outstanding = {
-                spec.device_id: None for spec in fleet[:depth]
-            }
-            service._window = SCHED.batch_window  # window exhausted
-            hints.append(service._retry_hint())
-        assert hints == sorted(hints)
-        assert hints[-1] > hints[0]
-
-    def test_hint_keeps_window_deadline_when_idle(self):
-        service, _ = _service()
-        service._buffer = [object()] * 2
-        service._outstanding = {}
-        service._window = 1
-        # ceil(2/4) backlog + (3 - 1) window remainder
-        assert service._retry_hint() == 1 + (SCHED.batch_window - 1)
-
-
 class TestDrainRetireSymmetry:
-    def test_drain_path_logs_retire_like_planner(self):
-        service, fleet = _service()
-        service.request_shutdown()
-        dispatch = asyncio.run(
-            service.request_plan(fleet[0].device_id, fleet[0].index)
-        )
-        assert dispatch is None
-        retires = [
-            r
-            for r in service.log.records
+    def test_each_retired_device_is_logged_once(
+        self, alu_netlist, vega_library
+    ):
+        # 40 devices in batches of 4 retire from the parked pool, the
+        # returning pool and the planner; each path logs one record.
+        config = dataclasses.replace(CONFIG, devices=40)
+        outcome = make_session(alu_netlist, vega_library, config=config).run()
+        retired = [
+            r["attrs"]
+            for r in outcome.log.records
             if r.get("name") == "retire"
         ]
-        assert len(retires) == 1
-        assert retires[0]["attrs"]["device"] == fleet[0].device_id
-        assert retires[0]["attrs"]["detected"] is False
-
-    def test_stopped_service_does_not_log(self):
-        service, fleet = _service()
-        service._stopped = True
-        assert (
-            asyncio.run(
-                service.request_plan(fleet[0].device_id, fleet[0].index)
-            )
-            is None
-        )
-        assert not any(
-            r.get("name") == "retire" for r in service.log.records
-        )
+        devices = [attrs["device"] for attrs in retired]
+        assert devices and len(devices) == len(set(devices))
+        for attrs in retired:
+            state = outcome.belief.devices[attrs["device"]]
+            assert attrs["detected"] == state.detected
 
     def test_dispatch_arm_helper_is_gone(self):
         assert not hasattr(DetectionService, "dispatch_arm")
