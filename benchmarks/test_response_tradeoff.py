@@ -12,10 +12,12 @@ Recovered onsets are censored once a policy pushes the violation past
 the age grid, so every row also reports its setup slack at the mission
 age; that number is never censored and tells the policies apart.
 
-``VEGA_SMOKE=1`` coarsens the onset grid and shrinks the accuracy
-sample so CI exercises every policy quickly; the per-policy contracts
-(derate pays frequency only, resynth proven exact, approximate
-provably inexact) hold in both modes.
+``VEGA_SMOKE=1`` coarsens the onset grid so CI exercises every policy
+quickly.  Both modes sample 128 operand frames for the accuracy cost:
+at 32 frames the approximate policy's corrupted outputs never show up
+and its cost reads 0 %.  The per-policy contracts (derate pays
+frequency only, resynth proven exact, approximate provably inexact and
+measurably less accurate) hold in both modes.
 """
 
 import os
@@ -33,7 +35,7 @@ CONFIG = ResponseConfig(
         if SMOKE
         else tuple(float(a) for a in range(1, 17))
     ),
-    accuracy_samples=32 if SMOKE else 128,
+    accuracy_samples=128,
     workers=2,
 )
 
@@ -68,6 +70,7 @@ def test_response_tradeoff(ctx, benchmark, recorder):
     assert derate["accuracy_cost_pct"] == 0.0
     assert resynth["equivalent"] is True
     assert approximate["equivalent"] is False
+    assert approximate["accuracy_cost_pct"] > 0.0
     for row in report.policies:
         assert row["recovered_years"] >= 0.0
     slacks = [row["mission_slack_ns"] for row in report.policies]

@@ -3,8 +3,8 @@
 One planning tick asks the policy to rank every arm for every
 requesting device.  The scalar reference (``plan_reference`` in
 ``tests/oracles.py``) rebuilds per-device candidate lists and walks
-dict posteriors; the vectorized path scores the whole (devices x arms)
-matrix over the belief's numpy mirror.  Both produce
+the dict posteriors of the belief's snapshot; the vectorized path
+scores the whole (devices x arms) matrix over the belief's arrays.  Both produce
 byte-identical schedules (pinned by ``tests/test_vectorized_scheduler``
 and re-asserted here); this benchmark measures the throughput gap at
 fleet scale.
@@ -83,7 +83,7 @@ def _arms():
 
 def _belief(fleet, arms):
     """A mid-campaign belief: every third device has folded outcomes."""
-    belief = FleetBelief(fleet, list(CLASSES), cycle_budget=25_000)
+    belief = FleetBelief(fleet, arms, list(CLASSES), cycle_budget=25_000)
     for i in range(0, len(fleet), 3):
         arm = arms[(7 * i) % len(arms)]
         belief.record_dispatch(fleet[i].device_id, arm)
@@ -101,7 +101,6 @@ def test_scheduler_vectorized(ctx, benchmark, recorder):
     arms = _arms()
     belief = _belief(fleet, arms)
     requests = [PlanRequest(s.device_id, s.index) for s in fleet]
-    belief.arrays(arms)  # warm the mirror (steady-state service cost)
 
     rows = [
         f"Vectorized planning: {DEVICES} devices, {len(arms)} arms"
@@ -112,7 +111,7 @@ def test_scheduler_vectorized(ctx, benchmark, recorder):
     for name in POLICIES:
         policy = make_policy(name, seed=7)
         vec_time, vec_schedule = _timed(
-            lambda: policy.plan(belief, arms, requests, 1)
+            lambda: policy.plan(belief, requests, 1)
         )
         ref_time, ref_schedule = _timed(
             lambda: plan_reference(policy, belief, arms, requests, 1)
@@ -162,5 +161,5 @@ def test_scheduler_vectorized(ctx, benchmark, recorder):
     )
 
     policy = make_policy("greedy", seed=7)
-    schedule = benchmark(lambda: policy.plan(belief, arms, requests, 1))
+    schedule = benchmark(lambda: policy.plan(belief, requests, 1))
     assert len(schedule.dispatches) + len(schedule.retired) == DEVICES

@@ -28,7 +28,7 @@ its telemetry counters as Prometheus text through
 :class:`~repro.core.telemetry.MetricsServer`.
 """
 
-from .belief import ArmSpec, DeviceBelief, FleetBelief, fleet_prior
+from .belief import ArmSpec, FleetBelief, fleet_prior
 from .policy import (
     Dispatch,
     PlanRequest,
@@ -49,7 +49,6 @@ from .service import DetectionService, EventLog, ResultEvent
 
 __all__ = [
     "ArmSpec",
-    "DeviceBelief",
     "DetectionService",
     "Dispatch",
     "EventLog",

@@ -2,11 +2,11 @@
 
 A policy answers one question per planning tick: *for each device that
 is asking for work, which arm should it run next?*  All policies are
-pure functions of ``(belief, arm catalogue, requests, tick, seed)`` —
-they never mutate the belief and never carry RNG state between ticks
-(Thompson draws come from named streams keyed by ``(seed, tick,
-device)``), which is what makes a live run and its replay produce the
-same schedules byte for byte.
+pure functions of ``(belief, requests, tick, seed)`` (the belief
+carries the arm catalogue) — they never mutate the belief and never
+carry RNG state between ticks (Thompson draws come from named streams
+keyed by ``(seed, tick, device)``), which is what makes a live run and
+its replay produce the same schedules byte for byte.
 
 Three policies ship:
 
@@ -21,10 +21,10 @@ Three policies ship:
   steers new devices toward the arms that already caught faults
   elsewhere.
 
-:meth:`Policy.plan` ranks arms with numpy over the belief's array
-mirror — candidate masks and scores for a whole batch at once.  Its
-schedules are identical to a scalar per-device loop over the dict
-posteriors: the arrays copy the dict floats verbatim, the vectorized
+:meth:`Policy.plan` ranks arms with numpy over the belief's arrays —
+candidate masks and scores for a whole batch at once.  Its schedules
+are identical to a scalar per-device loop over the snapshot's dict
+posteriors (``plan_reference`` in ``tests/oracles.py``): the vectorized
 expressions apply the same IEEE operations in the same order, and
 Thompson still draws its betavariates one candidate at a time from the
 same named stream.
@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from ..core.rng import stream_rng
-from .belief import ArmSpec, FleetBelief
+from .belief import FleetBelief
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class Policy:
     def plan(
         self,
         belief: FleetBelief,
-        arms: Sequence[ArmSpec],
         requests: Sequence[PlanRequest],
         tick: int,
     ) -> Schedule:
@@ -101,24 +100,21 @@ class Policy:
         Requests are processed in device-index order so the schedule —
         and everything downstream of it — is independent of arrival
         order inside the tick.  Candidate masks and arm ranking run
-        vectorized over the belief's array mirror.
+        vectorized over the belief's arrays.
         """
         schedule = Schedule(tick=tick, policy=self.name)
         ordered = sorted(requests, key=lambda r: r.device_index)
         if not ordered:
             return schedule
-        mirror = belief.arrays(arms)
         rows = np.array(
-            [mirror.row[request.device_id] for request in ordered],
+            [belief.row[request.device_id] for request in ordered],
             dtype=np.intp,
         )
-        valid = belief.valid_matrix(arms, rows)
-        columns = self._choose_columns(
-            belief, arms, ordered, rows, valid, tick
-        )
+        valid = belief.valid_matrix(rows)
+        columns = self._choose_columns(belief, ordered, rows, valid, tick)
         if isinstance(columns, np.ndarray):
             columns = columns.tolist()
-        catalogue = mirror.arms
+        catalogue = belief.arms
         dispatches = schedule.dispatches
         retired = schedule.retired
         for position, request in enumerate(ordered):
@@ -142,7 +138,6 @@ class Policy:
     def _choose_columns(
         self,
         belief: FleetBelief,
-        arms: Sequence[ArmSpec],
         ordered: Sequence[PlanRequest],
         rows: np.ndarray,
         valid: np.ndarray,
@@ -150,7 +145,7 @@ class Policy:
     ) -> Sequence[int]:
         """Catalogue column per request (-1: retire).
 
-        ``rows`` holds the requests' belief-mirror rows and ``valid``
+        ``rows`` holds the requests' belief rows and ``valid``
         their (request x catalogue column) candidate mask.
         """
         raise NotImplementedError
@@ -161,7 +156,7 @@ class SequentialPolicy(Policy):
 
     name = "sequential"
 
-    def _choose_columns(self, belief, arms, ordered, rows, valid, tick):
+    def _choose_columns(self, belief, ordered, rows, valid, tick):
         # Catalogue columns are already sorted by arm index, so the
         # first valid column IS min-by-index.
         columns = valid.argmax(axis=1)
@@ -174,15 +169,14 @@ class GreedyPolicy(Policy):
 
     name = "greedy"
 
-    def _choose_columns(self, belief, arms, ordered, rows, valid, tick):
-        mirror = belief.arrays(arms)
-        ab = belief.blended_matrix(arms, rows)
+    def _choose_columns(self, belief, ordered, rows, valid, tick):
+        ab = belief.blended_matrix(rows)
         mean = ab[..., 0] / (ab[..., 0] + ab[..., 1])
         # Same float ops as a scalar per-arm ranking: negate the
         # per-class mean, divide by integer cost.  ``argmin`` takes the
         # first minimum, matching a (score, arm.index) tie-break because
         # the columns are in arm-index order.
-        score = np.negative(mean[:, mirror.arm_class]) / mirror.cost[None, :]
+        score = np.negative(mean[:, belief.arm_class]) / belief.cost[None, :]
         score[~valid] = np.inf
         columns = score.argmin(axis=1)
         columns[~valid.any(axis=1)] = -1
@@ -201,18 +195,17 @@ class ThompsonPolicy(Policy):
 
     name = "thompson"
 
-    def _choose_columns(self, belief, arms, ordered, rows, valid, tick):
-        # The blended posteriors come from the array mirror, but the
+    def _choose_columns(self, belief, ordered, rows, valid, tick):
+        # The blended posteriors come from the belief's arrays, but the
         # betavariate draws stay a python loop per candidate in
         # catalogue order — the stream consumed per (tick, device) is
         # byte-identical to the scalar path's.  ``tolist`` hands the
         # loop plain python floats (exact same values) so the hot part
         # pays list indexing, not numpy scalar extraction.
-        mirror = belief.arrays(arms)
-        ab_rows = belief.blended_matrix(arms, rows).tolist()
+        ab_rows = belief.blended_matrix(rows).tolist()
         valid_rows = valid.tolist()
-        arm_class = mirror.arm_class.tolist()
-        costs = [arm.cost_cycles for arm in mirror.arms]
+        arm_class = belief.arm_class.tolist()
+        costs = [arm.cost_cycles for arm in belief.arms]
         columns: List[int] = []
         for position, request in enumerate(ordered):
             row_valid = valid_rows[position]

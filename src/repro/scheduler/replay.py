@@ -131,20 +131,21 @@ class ScheduleReport:
         ticks: int,
         events: int,
     ) -> "ScheduleReport":
+        devices = belief.snapshot()["devices"]
         rows = []
         detections: List[int] = []
         penalized: List[int] = []
         detected = escapes = faulty = 0
         total_spent = 0
         for spec in fleet:
-            device = belief.devices[spec.device_id]
-            total_spent += device.spent_cycles
+            device = devices[spec.device_id]
+            total_spent += device["spent_cycles"]
             if spec.faulty:
                 faulty += 1
-                if device.detected:
+                if device["detected"]:
                     detected += 1
-                    detections.append(device.detected_cycles)
-                    penalized.append(device.detected_cycles)
+                    detections.append(device["detected_cycles"])
+                    penalized.append(device["detected_cycles"])
                 else:
                     escapes += 1
                     penalized.append(belief.cycle_budget)
@@ -154,11 +155,11 @@ class ScheduleReport:
                     "corner": spec.corner,
                     "faulty": spec.faulty,
                     "model": spec.model_label,
-                    "detected": device.detected,
-                    "detected_by": device.detected_by,
-                    "detected_cycles": device.detected_cycles,
-                    "spent_cycles": device.spent_cycles,
-                    "dispatches": device.dispatches,
+                    "detected": device["detected"],
+                    "detected_by": device["detected_by"],
+                    "detected_cycles": device["detected_cycles"],
+                    "spent_cycles": device["spent_cycles"],
+                    "dispatches": device["dispatches"],
                 }
             )
         return cls(
@@ -452,7 +453,7 @@ class ScheduleSession:
                 and state.get("policy") == self.scheduler.policy
                 and state.get("policy_seed") == self.scheduler.policy_seed
             ):
-                belief = FleetBelief.from_snapshot(state["belief"])
+                belief = FleetBelief.from_snapshot(state["belief"], arms)
                 tick = int(state["tick"])
                 events = int(state["events_ingested"])
                 resumed = True
@@ -462,6 +463,7 @@ class ScheduleSession:
         if belief is None:
             belief = FleetBelief(
                 fleet,
+                arms,
                 classes,
                 cycle_budget=self.scheduler.cycle_budget,
                 fleet_blend=self.scheduler.fleet_blend,
@@ -473,7 +475,6 @@ class ScheduleSession:
         log = EventLog(run_id=f"sched-{key[:12]}")
         service = DetectionService(
             belief=belief,
-            arms=arms,
             policy=policy,
             config=self.scheduler,
             log=log,
@@ -481,8 +482,8 @@ class ScheduleSession:
             checkpoint_key=key,
             tick=tick,
             events_ingested=events,
+            kill_after_events=kill_after_events,
         )
-        service.kill_after_events = kill_after_events
 
         with telemetry.span(
             "scheduler.run",
@@ -491,10 +492,9 @@ class ScheduleSession:
             devices=len(fleet),
             arms=len(arms),
         ) as span:
+            done = belief.done_mask().tolist()
             active = [
-                spec
-                for spec in fleet
-                if not belief.device_done(spec.device_id, arms)
+                spec for spec in fleet if not done[belief.row[spec.device_id]]
             ]
             service.run(active, adapter.execute)
             if span is not None:

@@ -51,7 +51,7 @@ from ..core import telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import SchedulerConfig
 from ..core.telemetry import TRACE_SCHEMA
-from .belief import ArmSpec, FleetBelief, arms_digest
+from .belief import FleetBelief, arms_digest
 from .policy import Dispatch, PlanRequest, Policy
 
 
@@ -128,13 +128,15 @@ class DetectionService:
 
     :meth:`run` serves a list of devices to completion, calling
     ``execute(spec, dispatch)`` for every dispatched arm (see
-    :class:`repro.scheduler.replay.FleetAdapter`).
+    :class:`repro.scheduler.replay.FleetAdapter`).  The arms are the
+    belief's catalogue.  ``kill_after_events`` is a simulated kill
+    switch: the service drops dead (no drain, no final checkpoint) once
+    that many events have been ingested.
     """
 
     def __init__(
         self,
         belief: FleetBelief,
-        arms: Sequence[ArmSpec],
         policy: Policy,
         config: SchedulerConfig,
         log: EventLog,
@@ -142,10 +144,10 @@ class DetectionService:
         checkpoint_key: Optional[str] = None,
         tick: int = 0,
         events_ingested: int = 0,
+        kill_after_events: Optional[int] = None,
     ):
         self.belief = belief
-        self.arms = list(arms)
-        self._arms_by_name = {arm.name: arm for arm in self.arms}
+        self._arms_by_name = {arm.name: arm for arm in belief.arms}
         self.policy = policy
         self.config = config
         self.log = log
@@ -154,9 +156,7 @@ class DetectionService:
         self.tick = int(tick)
         self.events_ingested = int(events_ingested)
         self._last_checkpoint = self.events_ingested
-        #: Simulated kill switch: drop dead (no drain, no final
-        #: checkpoint) once this many events have been ingested.
-        self.kill_after_events: Optional[int] = None
+        self.kill_after_events = kill_after_events
 
     def run(
         self,
@@ -187,11 +187,11 @@ class DetectionService:
         back: List[DeviceSpec] = []
         while True:
             live = self._retire_done(parked)
-            if not live and self.belief.all_done(self.arms):
+            if not live and self.belief.all_done():
                 return
             size = self.config.batch_size
             if back and len(live) < min(
-                size, self.belief.active_count(self.arms)
+                size, self.belief.active_count()
             ):
                 live += self._retire_done(back)
                 back = []
@@ -204,9 +204,11 @@ class DetectionService:
 
     def _retire_done(self, specs: List[DeviceSpec]) -> List[DeviceSpec]:
         """Log a ``retire`` for each done device; return the rest."""
+        done = self.belief.done_mask().tolist()
+        row = self.belief.row
         live = []
         for spec in specs:
-            if self.belief.device_done(spec.device_id, self.arms):
+            if done[row[spec.device_id]]:
                 self._log_retire(spec.device_id)
             else:
                 live.append(spec)
@@ -218,7 +220,6 @@ class DetectionService:
         self.tick += 1
         schedule = self.policy.plan(
             self.belief,
-            self.arms,
             [PlanRequest(spec.device_id, spec.index) for spec in batch],
             self.tick,
         )
@@ -282,7 +283,7 @@ class DetectionService:
             "retire",
             self.tick,
             device=device_id,
-            detected=self.belief.devices[device_id].detected,
+            detected=bool(self.belief.detected[self.belief.row[device_id]]),
         )
 
     # -- checkpoints ---------------------------------------------------
@@ -292,7 +293,7 @@ class DetectionService:
             "belief": self.belief.snapshot(),
             "tick": self.tick,
             "events_ingested": self.events_ingested,
-            "arms": arms_digest(self.arms),
+            "arms": arms_digest(self.belief.arms),
             "policy": self.policy.name,
             "policy_seed": self.policy.seed,
         }

@@ -12,18 +12,24 @@ production layer and must give bit-identical results:
   behind the incremental engine;
 * :func:`profile_operand_stream_reference` — scalar one-operand-per-
   cycle-group SP profiling behind the packed profiler;
-* :func:`plan_reference` — scalar per-device planning behind the
-  vectorized :meth:`Policy.plan`;
+* :class:`DictBelief` — the per-device dict fold behind the arrays of
+  :class:`FleetBelief`, with the scalar reads :func:`blended`,
+  :func:`mean`, :func:`candidates` and :func:`device_done` over any
+  belief snapshot;
+* :func:`plan_reference` — scalar per-device planning over a belief
+  snapshot, behind the vectorized :meth:`Policy.plan`;
 * :func:`unpacked_campaign` — the campaign engine without its packed
   multi-model prefilter;
 * :func:`fold_event_stream` — the serve event log folded into a fresh
-  belief.
+  :class:`DictBelief`.
 
 The context managers swap an oracle into a whole pipeline with
 :func:`unittest.mock.patch`; fork workers started inside the block
 inherit the patch.
 """
 
+import hashlib
+import json
 import time
 from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -43,7 +49,7 @@ from repro.formal.bmc import (
 )
 from repro.formal.sat import SatSolver, SatStatus
 from repro.netlist.netlist import Netlist
-from repro.scheduler.belief import ArmSpec, FleetBelief
+from repro.scheduler.belief import ArmSpec, fleet_prior
 from repro.scheduler.policy import Dispatch, PlanRequest, Policy, Schedule
 from repro.sim.gatesim import GateSimulator
 from repro.sim.probes import SPCounter, SPProfile
@@ -226,29 +232,165 @@ def profile_operand_stream_reference(
 
 
 # -- scheduler ------------------------------------------------------------
-def _choose_sequential(policy, belief, candidates, request, tick):
+class DictBelief:
+    """The per-device dict fold behind :class:`FleetBelief`'s arrays.
+
+    Its state *is* a snapshot-shaped dict (posteriors seeded from the
+    corner prior at first touch, run counts as they occur), so its
+    ``to_json`` must equal the arrays' after the same events, and the
+    scalar reads below work on either belief's ``snapshot()``.
+    """
+
+    def __init__(self, state: dict):
+        self.state = state
+
+    @classmethod
+    def fresh(
+        cls,
+        fleet: Sequence[DeviceSpec],
+        classes: Sequence[str],
+        cycle_budget: int,
+        fleet_blend: float = 0.5,
+    ) -> "DictBelief":
+        prior = fleet_prior(fleet, list(classes))
+        return cls({
+            "classes": list(classes),
+            "cycle_budget": int(cycle_budget),
+            "fleet_blend": float(fleet_blend),
+            "prior": {
+                corner: {label: list(ab) for label, ab in table.items()}
+                for corner, table in prior.items()
+            },
+            "fleet_posteriors": {},
+            "devices": {
+                spec.device_id: {
+                    "device_id": spec.device_id,
+                    "index": spec.index,
+                    "corner": spec.corner,
+                    "posteriors": {},
+                    "runs": {},
+                    "spent_cycles": 0,
+                    "dispatches": 0,
+                    "detected": False,
+                    "detected_by": None,
+                    "detected_cycles": None,
+                }
+                for spec in fleet
+            },
+        })
+
+    def snapshot(self) -> dict:
+        return self.state
+
+    def record_dispatch(self, device_id: str, arm: ArmSpec) -> None:
+        device = self.state["devices"][device_id]
+        device["runs"][arm.name] = device["runs"].get(arm.name, 0) + 1
+        device["dispatches"] += 1
+
+    def record_outcome(
+        self,
+        device_id: str,
+        arm: ArmSpec,
+        detected: bool,
+        cycles: int,
+        detected_by: Optional[str] = None,
+    ) -> None:
+        device = self.state["devices"][device_id]
+        device["spent_cycles"] += int(cycles)
+        label = arm.class_label
+        posterior = device["posteriors"].setdefault(
+            label, list(prior_for(self.state, device["corner"], label))
+        )
+        fleet = self.state["fleet_posteriors"].setdefault(label, [0.0, 0.0])
+        if detected:
+            posterior[0] += 1.0
+            fleet[0] += 1.0
+            if not device["detected"]:
+                device["detected"] = True
+                device["detected_by"] = detected_by or arm.name
+                device["detected_cycles"] = device["spent_cycles"]
+        else:
+            posterior[1] += 1.0
+            fleet[1] += 1.0
+
+    def to_json(self) -> str:
+        return json.dumps(self.state, sort_keys=True, indent=2) + "\n"
+
+    def digest(self) -> str:
+        return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+
+def prior_for(state: dict, corner: str, label: str) -> Tuple[float, float]:
+    table = state["prior"].get(corner)
+    if table is None:
+        return (0.5, 0.5)
+    alpha, beta = table.get(label, (0.5, 0.5))
+    return alpha, beta
+
+
+def blended(state: dict, device_id: str, label: str) -> Tuple[float, float]:
+    """(alpha, beta) scoring counts: device posterior + blended fleet
+    evidence, read from a snapshot."""
+    device = state["devices"][device_id]
+    alpha, beta = device["posteriors"].get(
+        label, prior_for(state, device["corner"], label)
+    )
+    fleet = state["fleet_posteriors"].get(label)
+    blend = state["fleet_blend"]
+    if fleet is not None and blend > 0:
+        alpha += blend * fleet[0]
+        beta += blend * fleet[1]
+    return alpha, beta
+
+
+def mean(state: dict, device_id: str, label: str) -> float:
+    alpha, beta = blended(state, device_id, label)
+    return alpha / (alpha + beta)
+
+
+def candidates(
+    state: dict, device_id: str, arms: Sequence[ArmSpec]
+) -> List[ArmSpec]:
+    """Arms still worth dispatching to a device, catalogue order."""
+    device = state["devices"][device_id]
+    remaining = state["cycle_budget"] - device["spent_cycles"]
+    return [
+        arm
+        for arm in arms
+        if device["runs"].get(arm.name, 0) == 0
+        and arm.cost_cycles <= remaining
+    ]
+
+
+def device_done(state: dict, device_id: str, arms: Sequence[ArmSpec]) -> bool:
+    return state["devices"][device_id]["detected"] or not candidates(
+        state, device_id, arms
+    )
+
+
+def _choose_sequential(policy, state, candidates, request, tick):
     return min(candidates, key=lambda arm: arm.index)
 
 
-def _choose_greedy(policy, belief, candidates, request, tick):
+def _choose_greedy(policy, state, candidates, request, tick):
     return min(
         candidates,
         key=lambda arm: (
-            -belief.mean(request.device_id, arm.class_label)
+            -mean(state, request.device_id, arm.class_label)
             / arm.cost_cycles,
             arm.index,
         ),
     )
 
 
-def _choose_thompson(policy, belief, candidates, request, tick):
+def _choose_thompson(policy, state, candidates, request, tick):
     rng = stream_rng(
         "scheduler.thompson", policy.seed, tick, request.device_index
     )
     best: Optional[ArmSpec] = None
     best_value = float("-inf")
     for arm in sorted(candidates, key=lambda a: a.index):
-        alpha, beta = belief.blended(request.device_id, arm.class_label)
+        alpha, beta = blended(state, request.device_id, arm.class_label)
         draw = rng.betavariate(alpha, beta)
         value = draw / arm.cost_cycles
         if value > best_value:
@@ -267,20 +409,22 @@ _SCALAR_CHOOSE = {
 
 def plan_reference(
     policy: Policy,
-    belief: FleetBelief,
+    belief,
     arms: Sequence[ArmSpec],
     requests: Sequence[PlanRequest],
     tick: int,
 ) -> Schedule:
-    """:meth:`Policy.plan` by dict lookups and python loops, no numpy."""
+    """:meth:`Policy.plan` by dict lookups and python loops over the
+    belief's snapshot, no numpy."""
     choose = _SCALAR_CHOOSE[policy.name]
+    state = belief.snapshot()
     schedule = Schedule(tick=tick, policy=policy.name)
     for request in sorted(requests, key=lambda r: r.device_index):
-        candidates = belief.candidates(request.device_id, arms)
-        if not candidates:
+        found = candidates(state, request.device_id, arms)
+        if not found:
             schedule.retired.append(request.device_id)
             continue
-        arm = choose(policy, belief, candidates, request, tick)
+        arm = choose(policy, state, found, request, tick)
         schedule.dispatches.append(
             Dispatch(
                 device_id=request.device_id,
@@ -312,15 +456,15 @@ def fold_event_stream(
     scheduler: SchedulerConfig,
     arms: Sequence[ArmSpec],
     records: Sequence[dict],
-) -> FleetBelief:
-    """Fold a service event log into one fresh belief.
+) -> DictBelief:
+    """Fold a service event log into one fresh dict belief.
 
     Replays every ``dispatch``/``result`` record, in log order, into a
-    belief built over the full fleet.  For a run that started fresh the
-    result must carry the live service's belief digest: the event log
-    alone determines the belief.
+    :class:`DictBelief` built over the full fleet.  For a run that
+    started fresh the result must carry the live service's belief
+    digest: the event log alone determines the belief.
     """
-    belief = FleetBelief(
+    belief = DictBelief.fresh(
         fleet,
         classes,
         cycle_budget=scheduler.cycle_budget,

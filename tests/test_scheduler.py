@@ -35,7 +35,7 @@ from repro.scheduler.belief import BROAD_CLASS, ArmSpec
 from repro.scheduler.policy import PlanRequest
 from repro.sta.timing import TimingViolation
 
-from oracles import fold_event_stream
+from oracles import fold_event_stream, mean
 
 MODELS = [
     FailureModel("a_q_r0", "res_q_r31", ViolationKind.SETUP, CMode.ZERO),
@@ -118,43 +118,47 @@ class TestBelief:
 
     def test_outcome_updates_posterior_and_ttd(self):
         fleet = _fleet()
-        belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
         device = fleet[0].device_id
         label = _classes()[0]
         arm = ArmSpec("case:x", "case", label, 40, 0)
-        before = belief.mean(device, label)
+        belief = FleetBelief(fleet, [arm], _classes(), cycle_budget=1000)
+        before = mean(belief.snapshot(), device, label)
         belief.record_outcome(device, arm, False, 40)
-        assert belief.mean(device, label) < before
-        assert belief.devices[device].spent_cycles == 40
-        assert not belief.devices[device].detected
+        snapshot = belief.snapshot()
+        assert mean(snapshot, device, label) < before
+        assert snapshot["devices"][device]["spent_cycles"] == 40
+        assert not snapshot["devices"][device]["detected"]
 
         belief.record_outcome(device, arm, True, 35, detected_by="x")
-        state = belief.devices[device]
-        assert state.detected and state.detected_by == "x"
-        assert state.detected_cycles == 75  # cumulative cycles at hit
+        snapshot = belief.snapshot()
+        state = snapshot["devices"][device]
+        assert state["detected"] and state["detected_by"] == "x"
+        assert state["detected_cycles"] == 75  # cumulative cycles at hit
         # Fleet-level evidence moved too.
-        assert belief.fleet_posteriors[label] == [1.0, 1.0]
+        assert snapshot["fleet_posteriors"][label] == [1.0, 1.0]
 
     def test_candidates_respect_budget_and_run_counts(self):
         fleet = _fleet()
-        belief = FleetBelief(fleet, _classes(), cycle_budget=100)
         device = fleet[0].device_id
         arms = [
             ArmSpec("a", "case", _classes()[0], 60, 0),
             ArmSpec("b", "case", _classes()[1], 300, 1),  # over budget
         ]
-        assert [a.name for a in belief.candidates(device, arms)] == ["a"]
+        belief = FleetBelief(fleet, arms, _classes(), cycle_budget=100)
+        row = belief.row[device]
+        assert belief.valid_matrix()[row].tolist() == [True, False]
+        assert not belief.done_mask()[row]
         belief.record_dispatch(device, arms[0])
-        assert belief.candidates(device, arms) == []
-        assert belief.device_done(device, arms)
+        assert not belief.valid_matrix()[row].any()
+        assert belief.done_mask()[row]
 
     def test_snapshot_roundtrip_is_exact(self):
         fleet = _fleet()
-        belief = FleetBelief(fleet, _classes(), cycle_budget=500)
         arm = ArmSpec("a", "case", _classes()[0], 10, 0)
+        belief = FleetBelief(fleet, [arm], _classes(), cycle_budget=500)
         belief.record_dispatch(fleet[0].device_id, arm)
         belief.record_outcome(fleet[0].device_id, arm, True, 10)
-        clone = FleetBelief.from_json(belief.to_json())
+        clone = FleetBelief.from_snapshot(json.loads(belief.to_json()), [arm])
         assert clone.digest() == belief.digest()
         assert clone.to_json() == belief.to_json()
         # The restored belief keeps evolving identically.
@@ -189,11 +193,9 @@ class TestPolicies:
         requests = self._requests(fleet)
         schedules = []
         for _ in range(2):
-            belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
+            belief = FleetBelief(fleet, arms, _classes(), cycle_budget=1000)
             policy = make_policy(name, seed=5)
-            schedules.append(
-                policy.plan(belief, arms, requests, tick=3)
-            )
+            schedules.append(policy.plan(belief, requests, tick=3))
         first, second = schedules
         assert [d.as_record() for d in first.dispatches] == [
             d.as_record() for d in second.dispatches
@@ -202,23 +204,21 @@ class TestPolicies:
     def test_sequential_walks_catalogue_order(self):
         fleet = _fleet()
         arms = self._arms()
-        belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
+        belief = FleetBelief(fleet, arms, _classes(), cycle_budget=1000)
         policy = make_policy("sequential")
-        schedule = policy.plan(
-            belief, arms, self._requests(fleet), tick=1
-        )
+        schedule = policy.plan(belief, self._requests(fleet), tick=1)
         assert {d.arm for d in schedule.dispatches} == {"case:0"}
 
     def test_thompson_draws_depend_on_seed_stream(self):
         fleet = _fleet()
         arms = self._arms()
-        belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
+        belief = FleetBelief(fleet, arms, _classes(), cycle_budget=1000)
         requests = self._requests(fleet)
         picks = {
             seed: tuple(
                 d.arm
                 for d in make_policy("thompson", seed)
-                .plan(belief, arms, requests, tick=1)
+                .plan(belief, requests, tick=1)
                 .dispatches
             )
             for seed in range(12)
@@ -229,11 +229,11 @@ class TestPolicies:
     def test_plan_retires_exhausted_devices(self):
         fleet = _fleet()
         arms = self._arms()
-        belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
+        belief = FleetBelief(fleet, arms, _classes(), cycle_budget=1000)
         for arm in arms:
             belief.record_dispatch(fleet[0].device_id, arm)
         schedule = make_policy("greedy").plan(
-            belief, arms, self._requests(fleet), tick=1
+            belief, self._requests(fleet), tick=1
         )
         assert fleet[0].device_id in schedule.retired
 
@@ -247,11 +247,10 @@ class TestPolicies:
 # ---------------------------------------------------------------------
 def _service():
     fleet = _fleet()
-    belief = FleetBelief(fleet, _classes(), cycle_budget=1000)
     arms = [ArmSpec("a", "case", _classes()[0], 10, 0)]
+    belief = FleetBelief(fleet, arms, _classes(), cycle_budget=1000)
     return DetectionService(
         belief=belief,
-        arms=arms,
         policy=make_policy("sequential"),
         config=SCHED,
         log=EventLog(run_id="test"),
@@ -261,12 +260,14 @@ def _service():
 class TestServiceMechanics:
     def test_checkpoint_state_roundtrips_belief(self):
         service, fleet = _service()
-        arm = service.arms[0]
+        arm = service.belief.arms[0]
         service.belief.record_outcome(
             fleet[0].device_id, arm, True, 10, detected_by="a"
         )
         state = service.checkpoint_state()
-        restored = FleetBelief.from_snapshot(state["belief"])
+        restored = FleetBelief.from_snapshot(
+            state["belief"], service.belief.arms
+        )
         assert restored.digest() == service.belief.digest()
         assert state["policy"] == "sequential"
 
@@ -526,9 +527,9 @@ class TestDrainRetireSymmetry:
         ]
         devices = [attrs["device"] for attrs in retired]
         assert devices and len(devices) == len(set(devices))
+        devices = outcome.belief.snapshot()["devices"]
         for attrs in retired:
-            state = outcome.belief.devices[attrs["device"]]
-            assert attrs["detected"] == state.detected
+            assert attrs["detected"] == devices[attrs["device"]]["detected"]
 
     def test_dispatch_arm_helper_is_gone(self):
         assert not hasattr(DetectionService, "dispatch_arm")
