@@ -22,8 +22,7 @@ campaign       fleet-scale fault-injection campaigns (run / report)
 bench          canonical benchmark trajectory (compare / report)
 surrogate      ML aging surrogate (train / validate / triage)
 respond        detection→response reconfiguration policies
-serve          online detection service (checkpoints, /metrics)
-schedule       adaptive dispatch schedule with replay verification
+schedule       adaptive dispatch service (checkpoints, resume, replay)
 =============  =====================================================
 
 Options shared by several verbs are declared once by the ``_add_*``
@@ -77,6 +76,14 @@ def _add_cache(p: argparse.ArgumentParser) -> None:
                    help="artifact cache root (default: .vega-cache)")
 
 
+def _add_traced(p: argparse.ArgumentParser) -> None:
+    """The ``--trace/--metrics`` pair that ``main()`` writes."""
+    p.add_argument("--trace", metavar="FILE",
+                   help="write the JSONL telemetry trace to FILE")
+    p.add_argument("--metrics", action="store_true",
+                   help="print the markdown metrics summary")
+
+
 def _add_checkpointed(p: argparse.ArgumentParser) -> None:
     """Options of the resumable, traced verbs (run/campaign/respond)."""
     _add_workers(p)
@@ -84,10 +91,7 @@ def _add_checkpointed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resume", action="store_true",
                    help="resume from the checkpoints in the artifact cache "
                         "(phases, shards or policies)")
-    p.add_argument("--trace", metavar="FILE",
-                   help="write the JSONL telemetry trace to FILE")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the markdown metrics summary")
+    _add_traced(p)
 
 
 def _add_report(p: argparse.ArgumentParser, what: str) -> None:
@@ -102,7 +106,7 @@ def _add_onset(p: argparse.ArgumentParser) -> None:
 
 
 def _add_fleet(p: argparse.ArgumentParser, devices: int, suites: str) -> None:
-    p.add_argument("--devices", type=int, default=devices,
+    p.add_argument("--devices", type=_positive_int, default=devices,
                    help=f"fleet size (default: {devices})")
     p.add_argument("--seed", type=int, default=2024,
                    help="fleet seed; drives every fleet draw")
@@ -113,7 +117,7 @@ def _add_fleet(p: argparse.ArgumentParser, devices: int, suites: str) -> None:
 def _add_surrogate_data(p: argparse.ArgumentParser) -> None:
     """Arguments shared by ``surrogate train`` and ``surrogate validate``."""
     _add_unit(p)
-    p.add_argument("--samples", type=int, default=96,
+    p.add_argument("--samples", type=_positive_int, default=96,
                    help="labeled sweep size (default: 96)")
     p.add_argument("--seed", type=int, default=7,
                    help="surrogate seed; drives every dataset draw")
@@ -122,7 +126,7 @@ def _add_surrogate_data(p: argparse.ArgumentParser) -> None:
 
 
 def _add_scheduler(p: argparse.ArgumentParser) -> None:
-    """Arguments shared by the ``serve`` and ``schedule`` verbs."""
+    """Arguments of the ``schedule`` verb that build its session."""
     _add_unit(p)
     _add_mitigation(p)
     _add_fleet(p, devices=12, suites="vega,random,silifuzz")
@@ -277,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated response policies to evaluate")
     p.add_argument("--mission-years", type=float, default=10.0,
                    help="deployment window recovery is measured against")
-    p.add_argument("--accuracy-samples", type=int, default=128,
+    p.add_argument("--accuracy-samples", type=_positive_int, default=128,
                    help="operand frames sampled for the approximate "
                         "policy's accuracy cost")
     p.add_argument("--seed", type=int, default=17,
@@ -359,26 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "byte-identical (exits nonzero on divergence)")
 
     p = sub.add_parser(
-        "serve",
-        help="run the online detection service over a simulated fleet "
-             "(belief checkpoints, event log)",
-    )
-    _add_scheduler(p)
-    p.add_argument("--kill-after", type=int, default=None, metavar="N",
-                   help="simulate an abrupt service death after N "
-                        "ingested results (for restart drills)")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from the latest belief checkpoint "
-                        "instead of starting fresh")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="P",
-                   help="serve Prometheus text on 127.0.0.1:P/metrics "
-                        "during the run (0 picks an ephemeral port)")
-    p.add_argument("--metrics-linger", type=float, default=0.0,
-                   metavar="SEC",
-                   help="keep the /metrics endpoint up SEC seconds "
-                        "after the run drains (for one-shot scrapes)")
-
-    p = sub.add_parser(
         "schedule",
         help="drive an adaptive dispatch schedule to completion and "
              "report per-policy detection outcomes",
@@ -388,6 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-replay", action="store_true",
                    help="re-execute the run and verify the event log "
                         "reproduces byte for byte")
+    p.add_argument("--kill-after", type=_positive_int, default=None,
+                   metavar="N",
+                   help="simulate an abrupt service death after N "
+                        "ingested results (for restart drills)")
+    p.add_argument("--resume", action="store_true",
+                   help="resume from the latest belief checkpoint "
+                        "instead of starting fresh")
+    _add_traced(p)
 
     p = sub.add_parser("integrate", help="profile-guided integration")
     p.add_argument("--workload", default="crc32")
@@ -893,7 +885,7 @@ def cmd_surrogate(args, out) -> int:
 
 
 def _scheduler_session(args):
-    """Build a ScheduleSession from shared serve/schedule arguments.
+    """Build a ScheduleSession from the ``schedule`` arguments.
 
     Returns None, after an error message, for an unknown policy.
     """
@@ -928,59 +920,26 @@ def _scheduler_session(args):
     )
 
 
-def cmd_serve(args, out) -> int:
-    import time
-
-    from .core import telemetry
-
-    session = _scheduler_session(args)
-    if session is None:
-        return 2
-    server = None
-    if args.metrics_port is not None:
-        # Renders the counters of the telemetry main() installed.
-        server = telemetry.MetricsServer(port=args.metrics_port).start()
-        print(f"/metrics on http://{server.host}:{server.port}/metrics",
-              file=out)
-        out.flush()
-    try:
-        outcome = session.run(
-            resume=args.resume, kill_after_events=args.kill_after
-        )
-        report = outcome.report
-        state = "killed" if outcome.killed else "drained"
-        print(f"service {state}: {report.events} result(s) ingested over "
-              f"{report.ticks} tick(s), policy={report.policy}", file=out)
-        if outcome.resumed:
-            print("  resumed from belief checkpoint", file=out)
-        print(f"  devices={report.devices} detected={report.detected} "
-              f"escapes={report.escapes}", file=out)
-        print(f"  belief checkpoint key: {outcome.checkpoint_key[:16]}…",
-              file=out)
-        print(f"  belief digest: {outcome.belief.digest()}", file=out)
-        if args.log:
-            outcome.log.write_jsonl(args.log)
-            print(f"  event log written to {args.log}", file=out)
-        if server is not None and args.metrics_linger > 0:
-            print(f"  /metrics stays up for {args.metrics_linger:g}s",
-                  file=out)
-            out.flush()
-            time.sleep(args.metrics_linger)
-    finally:
-        if server is not None:
-            server.stop()
-    return 0
-
-
 def cmd_schedule(args, out) -> int:
     from .scheduler import verify_replay
 
+    if args.verify_replay and (args.resume or args.kill_after is not None):
+        # A resumed or killed run's log holds only part of the stream.
+        print("--verify-replay needs an uninterrupted run "
+              "(drop --resume and --kill-after)", file=sys.stderr)
+        return 2
     session = _scheduler_session(args)
     if session is None:
         return 2
-    outcome = session.run()
+    outcome = session.run(
+        resume=args.resume, kill_after_events=args.kill_after
+    )
     for line in outcome.report.summary_lines():
         print(line, file=out)
+    print(f"  service {'killed' if outcome.killed else 'drained'}", file=out)
+    if outcome.resumed:
+        print("  resumed from belief checkpoint", file=out)
+    print(f"  belief digest: {outcome.belief.digest()}", file=out)
     if args.log:
         outcome.log.write_jsonl(args.log)
         print(f"  event log written to {args.log}", file=out)

@@ -24,10 +24,8 @@ The trace serializes as JSONL (:data:`TRACE_SCHEMA`): a ``meta`` line,
 one line per event/span in completion order, and a closing ``counters``
 line.  :func:`parse_trace` validates and round-trips it;
 :func:`summarize_trace` renders the markdown summary behind
-``repro trace summarize`` and ``repro run --metrics``.
-:func:`render_prometheus` renders counters as Prometheus text, and
-:class:`MetricsServer` serves that text on ``/metrics`` (``repro serve
---metrics-port``).
+``repro trace summarize`` and the ``--metrics`` flag of every traced
+verb.
 """
 
 from __future__ import annotations
@@ -35,15 +33,12 @@ from __future__ import annotations
 import io
 import json
 import os
-import threading
 import time
 from contextlib import contextmanager
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Union,
 )
@@ -250,107 +245,6 @@ def span(name: str, **attrs: object) -> Iterator[Optional[Span]]:
         return
     with _ACTIVE.span(name, **attrs) as sp:
         yield sp
-
-
-# ---------------------------------------------------------------------
-# Prometheus text export.
-# ---------------------------------------------------------------------
-def prometheus_name(name: str) -> str:
-    """Sanitize a counter name into a valid Prometheus metric name.
-
-    Dots (the telemetry counter convention, ``scheduler.dispatches``)
-    and any other illegal character become underscores.
-    """
-    sanitized = "".join(
-        ch if (ch.isalnum() or ch in "_:") else "_" for ch in name
-    )
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def render_prometheus(
-    counters: Mapping[str, Number], prefix: str = "repro"
-) -> str:
-    """Telemetry counters as Prometheus text.
-
-    ``counters`` maps telemetry names to monotonic totals; each renders
-    as ``<prefix>_<name>_total`` with a ``# TYPE`` line.  Output is
-    sorted, so a snapshot is deterministic for a given input — scrapes
-    diff cleanly in tests and CI.
-    """
-    lines: List[str] = []
-    for name in sorted(counters):
-        metric = prometheus_name(f"{prefix}_{name}_total")
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_format_value(counters[name])}")
-    return "\n".join(lines) + "\n"
-
-
-def render_active() -> str:
-    """Prometheus text of the active telemetry's counters.
-
-    Copies the counter dict first: scrapes run on the server thread
-    while producers keep adding counters on the main thread.
-    """
-    active = _ACTIVE
-    return render_prometheus(
-        dict(active.counters) if active is not None else {}
-    )
-
-
-class MetricsServer:
-    """Threaded HTTP server exposing ``/metrics`` (Prometheus text).
-
-    ``render`` is called per scrape, so the endpoint always shows the
-    current counter state.  ``port=0`` binds an ephemeral port (the
-    resolved one is in :attr:`port`).
-    """
-
-    def __init__(self, render: Callable[[], str] = render_active,
-                 port: int = 0, host: str = "127.0.0.1"):
-        # Imported here so the many modules importing telemetry do
-        # not pay for an HTTP stack only ``repro serve`` uses.
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                if self.path in ("/", "/metrics"):
-                    body = outer.render().encode("utf-8")
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", "text/plain; version=0.0.4"
-                    )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                else:
-                    self.send_response(404)
-                    self.end_headers()
-
-            def log_message(self, *args: object) -> None:
-                pass  # scrapes are telemetry, not stderr noise
-
-        self.render = render
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self.host = host
-        self.port = int(self._server.server_address[1])
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-metrics",
-            daemon=True,
-        )
-
-    def start(self) -> "MetricsServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------

@@ -23,9 +23,9 @@ Modules:
   :class:`~repro.campaign.engine.DeviceRunner`, session driver,
   schedule reports, byte-exact replay verification.
 
-The service runs in one process.  ``repro serve --metrics-port`` exposes
-its telemetry counters as Prometheus text through
-:class:`~repro.core.telemetry.MetricsServer`.
+The service runs in one process, driven by ``repro schedule``.  Its
+telemetry counters reach the user through that verb's ``--trace`` and
+``--metrics``, like every other traced verb's.
 """
 
 from .belief import ArmSpec, FleetBelief, fleet_prior

@@ -4,7 +4,6 @@ from .gatesim import (
     GateSimulator,
     SimulationError,
     pack_vectors,
-    simulated_cycles,
     unpack_vectors,
 )
 from .parallel_profile import (
@@ -35,7 +34,6 @@ __all__ = [
     "profile_operand_stream_parallel",
     "profile_stimulus",
     "profile_workload_streams",
-    "simulated_cycles",
     "VcdWriter",
     "VcdParseError",
     "parse_vcd",

@@ -31,16 +31,6 @@ _COMPILE_CACHE: "weakref.WeakKeyDictionary[Netlist, Tuple[int, Callable]]" = (
     weakref.WeakKeyDictionary()
 )
 
-#: Process-wide count of simulated clock edges, across every simulator
-#: instance.  The artifact-cache tests (and benchmarks) read this to
-#: prove a cached Aging Analysis run re-simulated nothing.
-_CYCLE_TALLY = 0
-
-
-def simulated_cycles() -> int:
-    """Total clock edges stepped by this process, across all simulators."""
-    return _CYCLE_TALLY
-
 _GATE_EXPR = {
     "BUF": "{a}",
     "CLKBUF": "{a}",
@@ -274,11 +264,9 @@ class GateSimulator:
         packed: bool = False,
     ) -> Dict[str, int]:
         """Evaluate one cycle and advance the clock edge."""
-        global _CYCLE_TALLY
         outputs = self.evaluate(inputs, mask, packed)
         self.state = [self.values[d_idx] & mask for d_idx in self._dff_d_index]
         self.cycle_count += 1
-        _CYCLE_TALLY += 1
         telemetry.add("sim.cycles")
         return outputs
 
@@ -320,7 +308,6 @@ class GateSimulator:
         no re-entry into the :meth:`_compile` cache machinery or method
         dispatch per cycle.
         """
-        global _CYCLE_TALLY
         eval_fn = self._eval
         apply_fn = self._apply_packed_inputs if packed else self._apply_inputs
         load_state = self._load_state
@@ -337,7 +324,6 @@ class GateSimulator:
             self.state = [values[d_idx] & mask for d_idx in d_index]
             cycles += 1
         self.cycle_count += cycles
-        _CYCLE_TALLY += cycles
         telemetry.add("sim.cycles", cycles)
         return outputs
 
@@ -357,7 +343,6 @@ class GateSimulator:
         bit ``k`` of plane ``i`` is output bit ``i`` of stimulus plane
         ``k``.
         """
-        global _CYCLE_TALLY
         watch_indices = [
             [self._net_index[net.name] for net in self.netlist.ports[p].nets]
             for p in watch
@@ -379,6 +364,5 @@ class GateSimulator:
             self.state = [values[d_idx] & mask for d_idx in d_index]
             cycles += 1
         self.cycle_count += cycles
-        _CYCLE_TALLY += cycles
         telemetry.add("sim.cycles", cycles)
         return captured

@@ -19,7 +19,6 @@ from repro.core import telemetry
 from repro.core.workflow import VegaWorkflow
 from repro.cpu.alu_design import build_alu
 from repro.cpu.mappers import AluMapper
-from repro.sim.gatesim import simulated_cycles
 from repro.workloads import collect_operand_streams
 
 
@@ -153,9 +152,9 @@ class TestCheckpointKeys:
 class TestFullResume:
     def test_resume_simulates_zero_cycles(self, baseline, alu, alu_stream):
         report, workflow = baseline
-        before = simulated_cycles()
-        resumed = workflow.run(alu, alu_stream, AluMapper(), resume=True)
-        assert simulated_cycles() == before
+        with telemetry.use(telemetry.Telemetry()):
+            resumed = workflow.run(alu, alu_stream, AluMapper(), resume=True)
+        assert resumed.telemetry.counters.get("sim.cycles", 0) == 0
         assert resumed.resumed_phases == ["phase1", "phase2", "phase3"]
         assert resumed.to_markdown() == report.to_markdown()
 
@@ -171,10 +170,10 @@ class TestFullResume:
 
     def test_without_resume_flag_nothing_loads(self, baseline, alu, alu_stream):
         _, workflow = baseline
-        before = simulated_cycles()
-        fresh = workflow.run(alu, alu_stream, AluMapper())
+        with telemetry.use(telemetry.Telemetry()):
+            fresh = workflow.run(alu, alu_stream, AluMapper())
         assert fresh.resumed_phases == []
-        assert simulated_cycles() > before
+        assert fresh.telemetry.counters["sim.cycles"] > 0
 
 
 class TestCrashAfterPhase1:

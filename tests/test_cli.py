@@ -275,14 +275,33 @@ class TestCountFlags:
         [
             ["campaign", "run", "--shard-size", "0"],
             ["schedule", "--batch-size", "0"],
-            ["serve", "--batch-size", "0"],
             ["campaign", "run", "--pack-width", "0"],
             ["schedule", "--checkpoint-every", "0"],
-            ["serve", "--checkpoint-every", "0"],
+            ["campaign", "run", "--devices", "0"],
+            ["schedule", "--devices", "0"],
+            ["surrogate", "triage", "--devices", "0"],
+            ["schedule", "--kill-after", "0"],
+            ["respond", "--accuracy-samples", "0"],
+            ["surrogate", "train", "--samples", "0"],
+            ["surrogate", "validate", "--samples", "0"],
         ],
         ids=lambda argv: " ".join(argv[:-1]),
     )
     def test_zero_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--devices", "-3"],
+            ["schedule", "--kill-after", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[:-1]),
+    )
+    def test_negative_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -415,10 +434,10 @@ class TestSchedulerCli:
         assert report.devices == 4
         assert report.policy == "thompson"
 
-    def test_serve_kill_then_resume(self, tmp_path):
+    def test_schedule_kill_then_resume(self, tmp_path):
         cache = str(tmp_path / "cache")
         argv = [
-            "serve",
+            "schedule",
             "--unit", "alu",
             "--devices", "4",
             "--onset-years", "6",
@@ -432,51 +451,53 @@ class TestSchedulerCli:
         assert code == 0
         assert "service killed" in text
 
-        code, text = _run(argv + ["--resume"])
+        resumed_file = tmp_path / "resumed.json"
+        code, resumed = _run(argv + ["--resume", "--report", str(resumed_file)])
         assert code == 0
-        assert "service drained" in text
-        assert "resumed from belief checkpoint" in text
+        assert "service drained" in resumed
+        assert "resumed from belief checkpoint" in resumed
 
-    def test_serve_metrics_port_scrapes_single_process(
-        self, tmp_path, monkeypatch
-    ):
-        import re
-        import time
-        import urllib.request
+        full_file = tmp_path / "full.json"
+        code, full = _run(argv + ["--report", str(full_file)])
+        assert code == 0
+        assert "resumed from belief checkpoint" not in full
 
-        # Scrape from inside the linger window: the CLI sleeps there
-        # with the endpoint up, so a stubbed sleep is the scraper.
-        out = io.StringIO()
-        scraped = []
+        def digest(text):
+            return [ln for ln in text.splitlines() if "belief digest:" in ln]
 
-        def scrape(_seconds):
-            url = re.search(r"(http://\S+/metrics)", out.getvalue()).group(1)
-            scraped.append(
-                urllib.request.urlopen(url, timeout=5).read().decode()
-            )
+        assert len(digest(full)) == 1
+        assert digest(resumed) == digest(full)
+        assert resumed_file.read_bytes() == full_file.read_bytes()
 
-        monkeypatch.setattr(time, "sleep", scrape)
-        code = main(
-            [
-                "serve",
-                "--unit", "alu",
-                "--devices", "4",
-                "--onset-years", "6",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--metrics-port", "0",
-                "--metrics-linger", "1",
-            ],
-            out=out,
+    @pytest.mark.parametrize(
+        "interrupt", [["--resume"], ["--kill-after", "5"]],
+        ids=["resume", "kill-after"],
+    )
+    def test_verify_replay_needs_uninterrupted_run(self, tmp_path, interrupt):
+        code, _ = _run(
+            ["schedule", "--unit", "alu", "--devices", "4",
+             "--onset-years", "6", "--verify-replay",
+             "--cache-dir", str(tmp_path / "cache")] + interrupt
+        )
+        assert code == 2
+
+    def test_schedule_trace_carries_scheduler_counters(self, tmp_path):
+        from repro.core import telemetry
+
+        trace = str(tmp_path / "trace.jsonl")
+        code, text = _run(
+            ["schedule", "--unit", "alu", "--devices", "4",
+             "--onset-years", "6", "--cache-dir", str(tmp_path / "cache"),
+             "--trace", trace]
         )
         assert code == 0
-        assert "service drained" in out.getvalue()
-        assert len(scraped) == 1
-        lines = scraped[0].splitlines()
-        assert "# TYPE repro_scheduler_results_total counter" in lines
-        assert any(
-            line.startswith("repro_scheduler_results_total ")
-            for line in lines
-        )
+        assert f"  trace written to {trace}" in text
+        assert telemetry.read_trace(trace)[-1]["counters"][
+            "scheduler.dispatches"
+        ] > 0
+        code, text = _run(["trace", "summarize", trace])
+        assert code == 0
+        assert "scheduler.dispatches" in text
 
     def test_unknown_policy_rejected(self):
         code, _ = _run(
@@ -484,8 +505,10 @@ class TestSchedulerCli:
         )
         assert code == 2
 
-    def test_serve_resume_requires_cache(self):
-        code, _ = _run(["serve", "--unit", "alu", "--resume", "--no-cache"])
+    def test_schedule_resume_requires_cache(self):
+        code, _ = _run(
+            ["schedule", "--unit", "alu", "--resume", "--no-cache"]
+        )
         assert code == 2
 
     def test_surrogate_triage_missing_model_exits_2(self, capsys):

@@ -11,12 +11,12 @@ import random
 
 import pytest
 
+from repro.core import telemetry
 from repro.core.artifacts import ArtifactCache
 from repro.core.config import AgingAnalysisConfig, VegaConfig
 from repro.core.example import build_paper_adder
 from repro.core.pool import fork_available
 from repro.core.workflow import VegaWorkflow
-from repro.sim.gatesim import simulated_cycles
 from repro.sim.parallel_profile import (
     plan_chunks,
     profile_operand_stream_parallel,
@@ -225,9 +225,9 @@ class TestWorkflowCaching:
         stream = _stream(10, 64)
         w1, p1, r1 = self._run(tmp_path, adder, stream)
         assert w1.last_cache_stats == (0, 2)
-        before = simulated_cycles()
-        w2, p2, r2 = self._run(tmp_path, adder, stream)
-        assert simulated_cycles() == before  # zero cycles simulated
+        with telemetry.use(telemetry.Telemetry()) as tele:
+            w2, p2, r2 = self._run(tmp_path, adder, stream)
+        assert tele.counters.get("sim.cycles", 0) == 0  # nothing simulated
         assert w2.last_cache_stats == (2, 0)
         # Cached run reproduces the uncached result bit-for-bit.
         assert p2.sp == p1.sp and p2.samples == p1.samples

@@ -288,7 +288,7 @@ class TestServiceMechanics:
 # ---------------------------------------------------------------------
 class TestScheduleSession:
     def test_for_unit_samples_the_campaign_fleet(self):
-        # Without a pinned onset, schedule/serve and campaign run must
+        # Without a pinned onset, schedule and campaign run must
         # derive the same base onset, so they see the same devices.
         experiment = ExperimentContext().unit("alu")
         config = CampaignConfig(devices=16)

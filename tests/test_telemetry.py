@@ -3,21 +3,17 @@
 import json
 import multiprocessing
 import os
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.core import telemetry
 from repro.core.telemetry import (
     TRACE_SCHEMA,
-    MetricsServer,
     Telemetry,
     TraceError,
     dump_trace,
     parse_trace,
     read_trace,
-    render_prometheus,
     summarize_trace,
 )
 from repro.scheduler import EventLog
@@ -249,41 +245,3 @@ class TestWriteJsonlConcurrency:
         target = tmp_path / "trace.jsonl"
         instance.write_jsonl(str(target))
         assert seen["src"] == f"{target}.tmp.{os.getpid()}"
-
-
-class TestPrometheusExport:
-    def test_render_counters(self):
-        text = render_prometheus(
-            {"scheduler.ingest_accepted": 24, "scheduler.dispatches": 7}
-        )
-        lines = text.splitlines()
-        assert "# TYPE repro_scheduler_dispatches_total counter" in lines
-        assert "repro_scheduler_dispatches_total 7" in lines
-        assert "repro_scheduler_ingest_accepted_total 24" in lines
-        # Names render sorted, so snapshots are deterministic.
-        assert lines.index("repro_scheduler_dispatches_total 7") < (
-            lines.index("repro_scheduler_ingest_accepted_total 24")
-        )
-
-    def test_render_active_reads_installed_telemetry(self):
-        assert telemetry.render_active() == "\n"
-        tele = Telemetry(run_id="scrape")
-        tele.add("scheduler.results", 3)
-        with telemetry.use(tele):
-            text = telemetry.render_active()
-        assert "repro_scheduler_results_total 3" in text.splitlines()
-
-    def test_metrics_server_serves_snapshot(self):
-        server = MetricsServer(
-            lambda: "repro_test_metric 1\n", port=0
-        ).start()
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            body = urllib.request.urlopen(url, timeout=5).read()
-            assert body == b"repro_test_metric 1\n"
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}/nope", timeout=5
-                )
-        finally:
-            server.stop()
