@@ -37,6 +37,13 @@ batch at once and the service reads the fleet's done mask in one
 expression.  :meth:`FleetBelief.snapshot` writes the canonical JSON a
 per-device dict fold of the same events writes; that fold is kept in
 ``tests/oracles.py`` as the reference the arrays are tested against.
+
+:meth:`FleetBelief.to_json` gives that JSON's canonical text at a cost
+that follows the devices changed since its last call, not the fleet
+size: every dispatch or outcome marks its device row dirty, and only
+dirty rows are re-serialized into the kept per-device fragments.  The
+service checkpoints that text (hashed into the event log, stored for
+resume), so a checkpoint re-encodes a few dozen rows, not all of them.
 """
 
 from __future__ import annotations
@@ -49,10 +56,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..campaign.fleet import DeviceSpec
+from ..core import telemetry
 
 #: Class label of arms that target every failure-model class at once
 #: (the baseline suites fuzz the whole unit rather than one endpoint).
 BROAD_CLASS = "*"
+
+#: Indent of one device entry inside the ``devices`` map of the
+#: canonical indent-2 document.
+_DEVICE_INDENT = " " * 4
 
 #: Prior pseudo-count weight: how many observations the corner/onset
 #: prior is worth relative to one real detection outcome.
@@ -216,6 +228,14 @@ class FleetBelief:
         self.detected_by: List[Optional[str]] = [None] * n_devices
         #: Cumulative cycles at first detection (time-to-detection).
         self.detected_cycles: List[Optional[int]] = [None] * n_devices
+        #: Each row's serialized ``devices`` fragment (see
+        #: :meth:`to_json`), stale while the row is dirty, and the rows
+        #: in the ``sort_keys`` order of their device ids.
+        self._fragments: List[str] = [""] * n_devices
+        self._dirty = np.ones(n_devices, dtype=bool)
+        self._sorted_rows = sorted(
+            range(n_devices), key=self.device_ids.__getitem__
+        )
 
     def _prior_for(self, corner: str, label: str) -> Tuple[float, float]:
         table = self.prior.get(corner)
@@ -258,6 +278,7 @@ class FleetBelief:
         row = self.row[device_id]
         self.runs[row, self.arm_col[arm.name]] += 1
         self.dispatches[row] += 1
+        self._dirty[row] = True
 
     def record_outcome(
         self,
@@ -275,44 +296,16 @@ class FleetBelief:
         side = 0 if detected else 1
         self.ab[row, col, side] += 1.0
         self.fleet_ab[col, side] += 1.0
+        self._dirty[row] = True
         if detected and not self.detected[row]:
             self.detected[row] = True
             self.detected_by[row] = detected_by or arm.name
             self.detected_cycles[row] = int(self.spent[row])
 
     # -- serialization --------------------------------------------------
-    def snapshot(self) -> dict:
-        """Canonical, JSON-ready copy of the full belief state.
-
-        Lists only touched posteriors, only fleet classes some device
-        touched, and only nonzero run counts.
-        """
+    def _head(self) -> dict:
+        """The snapshot's fleet-level keys: everything but ``devices``."""
         labels = list(self.class_col)
-        ab = self.ab.tolist()
-        posteriors: List[dict] = [{} for _ in self.device_ids]
-        for row, col in zip(*(a.tolist() for a in np.nonzero(self.touched))):
-            posteriors[row][labels[col]] = ab[row][col]
-        runs: List[dict] = [{} for _ in self.device_ids]
-        rows, cols = np.nonzero(self.runs)
-        counts = self.runs[rows, cols].tolist()
-        for row, col, count in zip(rows.tolist(), cols.tolist(), counts):
-            runs[row][self.arms[col].name] = count
-        spent, dispatches = self.spent.tolist(), self.dispatches.tolist()
-        detected = self.detected.tolist()
-        devices = {}
-        for row, device_id in enumerate(self.device_ids):
-            devices[device_id] = {
-                "device_id": device_id,
-                "index": self.indices[row],
-                "corner": self.corners[row],
-                "posteriors": posteriors[row],
-                "runs": runs[row],
-                "spent_cycles": spent[row],
-                "dispatches": dispatches[row],
-                "detected": detected[row],
-                "detected_by": self.detected_by[row],
-                "detected_cycles": self.detected_cycles[row],
-            }
         fleet_ab = self.fleet_ab.tolist()
         fleet_touched = self.touched.any(axis=0).tolist()
         return {
@@ -328,11 +321,92 @@ class FleetBelief:
                 for col, label in enumerate(labels)
                 if fleet_touched[col]
             },
-            "devices": devices,
+        }
+
+    def _entries(self, rows: np.ndarray) -> List[dict]:
+        """Canonical device entries of ``rows``, in that order.
+
+        Lists only touched posteriors and only nonzero run counts.
+        """
+        labels = list(self.class_col)
+        ab = self.ab[rows].tolist()
+        posteriors: List[dict] = [{} for _ in rows]
+        touched = np.nonzero(self.touched[rows])
+        for i, col in zip(*(a.tolist() for a in touched)):
+            posteriors[i][labels[col]] = ab[i][col]
+        runs: List[dict] = [{} for _ in rows]
+        block = self.runs[rows]
+        hits, cols = np.nonzero(block)
+        counts = block[hits, cols].tolist()
+        for i, col, count in zip(hits.tolist(), cols.tolist(), counts):
+            runs[i][self.arms[col].name] = count
+        spent = self.spent[rows].tolist()
+        dispatches = self.dispatches[rows].tolist()
+        detected = self.detected[rows].tolist()
+        entries = []
+        for i, row in enumerate(rows.tolist()):
+            entries.append({
+                "device_id": self.device_ids[row],
+                "index": self.indices[row],
+                "corner": self.corners[row],
+                "posteriors": posteriors[i],
+                "runs": runs[i],
+                "spent_cycles": spent[i],
+                "dispatches": dispatches[i],
+                "detected": detected[i],
+                "detected_by": self.detected_by[row],
+                "detected_cycles": self.detected_cycles[row],
+            })
+        return entries
+
+    def snapshot(self) -> dict:
+        """Canonical, JSON-ready copy of the full belief state.
+
+        Lists only touched posteriors, only fleet classes some device
+        touched, and only nonzero run counts.
+        """
+        entries = self._entries(np.arange(len(self.device_ids)))
+        return {
+            **self._head(),
+            "devices": {entry["device_id"]: entry for entry in entries},
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=2) + "\n"
+        """The canonical text, ``json.dumps(self.snapshot(),
+        sort_keys=True, indent=2)`` plus a newline, byte for byte.
+
+        Only the device rows changed since the last call are
+        re-serialized: each row's ``"<device_id>": {...}`` fragment is
+        kept at the fixed indent the sorted ``devices`` map has in the
+        document, and spliced into the freshly encoded fleet-level keys.
+        """
+        rows = np.flatnonzero(self._dirty)
+        if rows.size:
+            for row, entry in zip(rows.tolist(), self._entries(rows)):
+                self._fragments[row] = (
+                    json.dumps(entry["device_id"])
+                    + ": "
+                    + json.dumps(entry, sort_keys=True, indent=2).replace(
+                        "\n", "\n" + _DEVICE_INDENT
+                    )
+                )
+            self._dirty[rows] = False
+            telemetry.add("scheduler.rows_encoded", int(rows.size))
+        devices = "{}"
+        if self._fragments:
+            devices = (
+                "{\n" + _DEVICE_INDENT
+                + (",\n" + _DEVICE_INDENT).join(
+                    self._fragments[row] for row in self._sorted_rows
+                )
+                + "\n  }"
+            )
+        # Keys at depth 1 are the only lines indented by exactly two
+        # spaces, so the first such ``devices`` line is the placeholder.
+        head, _, tail = json.dumps(
+            {**self._head(), "devices": None}, sort_keys=True, indent=2
+        ).partition('\n  "devices": null')
+        return f'{head}\n  "devices": {devices}{tail}\n'
 
     @classmethod
     def from_snapshot(
@@ -377,4 +451,9 @@ class FleetBelief:
         """sha256 of the canonical serialization — the fingerprint the
         event log's checkpoint records carry, so replay equality also
         proves belief-state equality."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return text_digest(self.to_json())
+
+
+def text_digest(text: str) -> str:
+    """sha256 of one :meth:`FleetBelief.to_json` text."""
+    return hashlib.sha256(text.encode()).hexdigest()

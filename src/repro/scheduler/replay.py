@@ -447,13 +447,18 @@ class ScheduleSession:
         belief: Optional[FleetBelief] = None
         if resume and self.cache is not None:
             state = self.cache.load_checkpoint(key)
+            # A state whose belief is not canonical text (an older
+            # format stored the snapshot dict) is a miss: start fresh.
             if (
                 isinstance(state, dict)
+                and isinstance(state.get("belief"), str)
                 and state.get("arms") == arms_digest(arms)
                 and state.get("policy") == self.scheduler.policy
                 and state.get("policy_seed") == self.scheduler.policy_seed
             ):
-                belief = FleetBelief.from_snapshot(state["belief"], arms)
+                belief = FleetBelief.from_snapshot(
+                    json.loads(state["belief"]), arms
+                )
                 tick = int(state["tick"])
                 events = int(state["events_ingested"])
                 resumed = True

@@ -24,11 +24,12 @@ Each round of :meth:`DetectionService.run`:
 * **Plan and execute** — the policy plans the batch; each dispatched
   device runs its arm and its result is folded in, in device order.
 * **Checkpoint** — every ``checkpoint_every`` ingested results (at a
-  tick boundary, so no half-processed state exists) the full belief
-  snapshot publishes through :class:`~repro.core.artifacts.
-  ArtifactCache.store_checkpoint` under a content-addressed key.  A
-  killed service restarted from the checkpoint continues without
-  replaying the event log.
+  tick boundary, so no half-processed state exists) the belief is
+  encoded once: its sha256 goes into the event log's ``checkpoint``
+  record, and the same canonical text publishes through
+  :class:`~repro.core.artifacts.ArtifactCache.store_checkpoint` under
+  a content-addressed key.  A killed service restarted from the
+  checkpoint continues without replaying the event log.
 * **Drain** — once the fleet is retired, a final checkpoint is written
   and the log closes with a ``drain`` event.
 
@@ -51,7 +52,7 @@ from ..core import telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import SchedulerConfig
 from ..core.telemetry import TRACE_SCHEMA
-from .belief import FleetBelief, arms_digest
+from .belief import FleetBelief, arms_digest, text_digest
 from .policy import Dispatch, PlanRequest, Policy
 
 
@@ -288,9 +289,10 @@ class DetectionService:
 
     # -- checkpoints ---------------------------------------------------
     def checkpoint_state(self) -> dict:
-        """Everything a restarted service needs to resume."""
+        """Everything a restarted service needs to resume; the belief
+        is its canonical :meth:`~FleetBelief.to_json` text."""
         return {
-            "belief": self.belief.snapshot(),
+            "belief": self.belief.to_json(),
             "tick": self.tick,
             "events_ingested": self.events_ingested,
             "arms": arms_digest(self.belief.arms),
@@ -307,15 +309,14 @@ class DetectionService:
                         > self._last_checkpoint)):
             return
         self._last_checkpoint = self.events_ingested
-        digest = self.belief.digest()
+        # One encoding per checkpoint: the stored text is the hashed one.
+        state = self.checkpoint_state()
         if self.cache is not None and self.checkpoint_key is not None:
-            self.cache.store_checkpoint(
-                self.checkpoint_key, self.checkpoint_state()
-            )
+            self.cache.store_checkpoint(self.checkpoint_key, state)
             telemetry.add("scheduler.checkpoints")
         self.log.event(
             "checkpoint",
             self.tick,
             events_ingested=self.events_ingested,
-            belief=digest,
+            belief=text_digest(state["belief"]),
         )

@@ -16,6 +16,8 @@ production layer and must give bit-identical results:
   :class:`FleetBelief`, with the scalar reads :func:`blended`,
   :func:`mean`, :func:`candidates` and :func:`device_done` over any
   belief snapshot;
+* :func:`canonical_json` — one ``json.dumps`` of the whole snapshot,
+  behind the dirty-row :meth:`FleetBelief.to_json`;
 * :func:`plan_reference` — scalar per-device planning over a belief
   snapshot, behind the vectorized :meth:`Policy.plan`;
 * :func:`unpacked_campaign` — the campaign engine without its packed
@@ -314,10 +316,16 @@ class DictBelief:
             fleet[1] += 1.0
 
     def to_json(self) -> str:
-        return json.dumps(self.state, sort_keys=True, indent=2) + "\n"
+        return canonical_json(self)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+
+def canonical_json(belief) -> str:
+    """The full canonical encoder behind the incremental
+    :meth:`FleetBelief.to_json`: ``json.dumps`` of the whole snapshot."""
+    return json.dumps(belief.snapshot(), sort_keys=True, indent=2) + "\n"
 
 
 def prior_for(state: dict, corner: str, label: str) -> Tuple[float, float]:

@@ -265,8 +265,9 @@ class TestServiceMechanics:
             fleet[0].device_id, arm, True, 10, detected_by="a"
         )
         state = service.checkpoint_state()
+        assert state["belief"] == service.belief.to_json()
         restored = FleetBelief.from_snapshot(
-            state["belief"], service.belief.arms
+            json.loads(state["belief"]), service.belief.arms
         )
         assert restored.digest() == service.belief.digest()
         assert state["policy"] == "sequential"
@@ -399,6 +400,30 @@ class TestScheduleSession:
         assert resumed.resumed
         assert resumed.report.to_json() == uninterrupted.report.to_json()
         assert resumed.belief.digest() == uninterrupted.belief.digest()
+
+    def test_old_format_checkpoint_resumes_as_fresh_run(
+        self, alu_netlist, vega_library, tmp_path
+    ):
+        """A checkpoint that stored the belief as a snapshot dict, not
+        as its canonical text, is a miss: the run starts over."""
+        sched = dataclasses.replace(SCHED, batch_size=16, checkpoint_every=4)
+        uninterrupted = make_session(
+            alu_netlist, vega_library, sched=sched
+        ).run()
+        cache = ArtifactCache(tmp_path)
+        killed = make_session(
+            alu_netlist, vega_library, sched=sched, cache=cache
+        ).run(kill_after_events=9)
+        state = cache.load_checkpoint(killed.checkpoint_key)
+        state["belief"] = json.loads(state["belief"])
+        cache.store_checkpoint(killed.checkpoint_key, state)
+
+        again = make_session(
+            alu_netlist, vega_library, sched=sched, cache=cache
+        ).run(resume=True)
+        assert not again.resumed
+        assert again.report.to_json() == uninterrupted.report.to_json()
+        assert again.log.to_jsonl() == uninterrupted.log.to_jsonl()
 
     def test_resume_of_finished_run_executes_nothing(
         self, alu_netlist, vega_library, tmp_path

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import telemetry
 from repro.core.example import build_paper_adder
 from repro.netlist.cells import make_vega28_library
 from repro.netlist.netlist import Netlist
@@ -31,6 +32,40 @@ class TestPackUnpack:
     def test_pack_shape(self):
         planes = pack_vectors([0b01, 0b10, 0b11], 2)
         assert planes == [0b101, 0b110]
+
+
+class TestLayoutCache:
+    """Simulators over one netlist share its cached layout (net
+    numbering, DFF/input indices, compiled cycle) and nothing else."""
+
+    def test_simulators_share_no_mutable_state(self, paper_adder):
+        first = GateSimulator(paper_adder)
+        second = GateSimulator(paper_adder)
+        assert first._eval is second._eval
+        for name in ("_dffs", "_dff_d_index", "_dff_q_index", "_input_index"):
+            assert isinstance(getattr(first, name), tuple)
+        assert first.state is not second.state
+        assert first.values is not second.values
+        first.step({"a": 3, "b": 3})
+        first.step({"a": 0, "b": 0})
+        assert not any(second.state)
+        assert not any(second.values)
+        assert first.step({"a": 0, "b": 0})["o"] == 2
+        assert second.step({"a": 0, "b": 0})["o"] == 0
+
+    def test_mutation_rebuilds_layout(self):
+        netlist = build_paper_adder()
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            before = GateSimulator(netlist)
+            GateSimulator(netlist)
+            netlist.add_net("spare")
+            after = GateSimulator(netlist)
+        assert tele.counters["sim.compile.misses"] == 2
+        assert tele.counters["sim.compile.hits"] == 1
+        assert "spare" in after._net_index
+        assert "spare" not in before._net_index
+        assert len(after.values) == len(before.values) + 1
 
 
 class TestPaperAdderSimulation:

@@ -20,7 +20,7 @@ from repro.lifting.models import CMode, FailureModel, ViolationKind
 from repro.scheduler.belief import BROAD_CLASS, ArmSpec, FleetBelief
 from repro.scheduler.policy import PlanRequest, make_policy
 
-from oracles import DictBelief, device_done, plan_reference
+from oracles import DictBelief, canonical_json, device_done, plan_reference
 
 CORNERS = ["typ", "fast", "slow"]
 CLASSES = [f"cls{i}" for i in range(4)]
@@ -216,13 +216,16 @@ STRAY_CLASS = "stray"
 def fold_cases(draw):
     """A fleet, an arm catalogue, and a dispatch/outcome stream."""
     n_devices = draw(st.integers(min_value=1, max_value=8))
+    # Ids whose sorted order is not the index order, as the canonical
+    # JSON's sorted ``devices`` map must not assume it is.
+    names = draw(st.permutations(range(n_devices)))
     fleet = []
     for i in range(n_devices):
         carried = draw(st.sampled_from([None, 0, 1, 2]))
         fleet.append(
             DeviceSpec(
                 index=i,
-                device_id=f"dev{i:04d}",
+                device_id=f"dev{names[i]:04d}",
                 corner=draw(st.sampled_from(CORNERS)),
                 onset_years=5.0,
                 faulty=carried is not None,
@@ -329,3 +332,51 @@ class TestDictFoldEquivalence:
         with pytest.raises(KeyError):
             belief.record_outcome(device_id, foreign, True, 9)
         assert belief.digest() == before
+
+
+class TestIncrementalEncoding:
+    """``to_json`` re-encodes only the rows changed since its last call;
+    its text must still equal the full ``json.dumps`` of ``snapshot()``
+    (:func:`oracles.canonical_json`) at every call."""
+
+    @given(case=fold_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_encoder_after_stream(self, case):
+        fleet, arms, events, budget, blend, _ = case
+        belief = FleetBelief(
+            fleet, arms, FOLD_CLASSES, cycle_budget=budget, fleet_blend=blend
+        )
+        fold([belief], fleet, arms, events)
+        assert belief.to_json() == canonical_json(belief)
+
+    @given(case=fold_cases(), cuts=st.lists(st.integers(0, 40), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_encode_mid_stream_then_fold_on(self, case, cuts):
+        """Encoding, folding more, and encoding again catches a kept
+        fragment that a later event should have refreshed."""
+        fleet, arms, events, budget, blend, _ = case
+        belief = FleetBelief(
+            fleet, arms, FOLD_CLASSES, cycle_budget=budget, fleet_blend=blend
+        )
+        start = 0
+        for cut in sorted(set(cuts)) + [len(events)]:
+            fold([belief], fleet, arms, events[start:cut])
+            start = max(start, cut)
+            assert belief.to_json() == canonical_json(belief)
+        assert belief.to_json() == canonical_json(belief)
+
+    @given(case=fold_cases(), cut=st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_restored_belief_encodes_and_folds_on(self, case, cut):
+        fleet, arms, events, budget, blend, _ = case
+        belief = FleetBelief(
+            fleet, arms, FOLD_CLASSES, cycle_budget=budget, fleet_blend=blend
+        )
+        fold([belief], fleet, arms, events[:cut])
+        restored = FleetBelief.from_snapshot(
+            json.loads(belief.to_json()), arms
+        )
+        assert restored.to_json() == belief.to_json()
+        fold([belief, restored], fleet, arms, events[cut:])
+        assert restored.to_json() == canonical_json(restored)
+        assert restored.to_json() == belief.to_json()
