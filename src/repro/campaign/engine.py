@@ -6,11 +6,13 @@ aggregates them into a :class:`~repro.campaign.report.CampaignReport`:
 * **Per-suite work is hoisted out of the per-device loop.**  The vega
   and random suites assemble once (the :class:`AgingLibrary` program
   memo), the SiliFuzz corpus generates and assembles once, and failing
-  netlists are instrumented once per distinct failure model — devices
-  sharing a model also share the compiled gate simulator, so the
-  per-device cost is pure simulation.  This is where the campaign's
-  devices/sec headroom over the one-off ``experiments.py`` path comes
-  from, independent of worker count.
+  netlists are instrumented once per distinct failure model *per
+  process* (:func:`~repro.lifting.instrument.shared_failing_netlist`,
+  keyed by the golden netlist object) — devices, later campaigns and
+  scheduled runs sharing a model also share the compiled gate
+  simulator, so the per-device cost is pure simulation.  This is where
+  the campaign's devices/sec headroom over the one-off
+  ``experiments.py`` path comes from, independent of worker count.
 * **Shards are the unit of parallelism and of resume.**  Devices are
   chunked into shards of ``CampaignConfig.shard_size``; shards fan out
   through :func:`repro.core.pool.fork_map` and results re-assemble in
@@ -35,7 +37,7 @@ from ..core.pool import fork_map
 from ..core.rng import stream_seed
 from ..cpu.cosim import GateAluBackend, GateFpuBackend, GateMduBackend
 from ..integration.library_gen import AgingLibrary
-from ..lifting.instrument import make_failing_netlist
+from ..lifting.instrument import shared_failing_netlist
 from ..lifting.models import CMode, FailureModel
 from ..netlist.netlist import Netlist
 from .fleet import DeviceSpec, fleet_digest, sample_fleet
@@ -119,10 +121,11 @@ class DeviceRunner:
     """Executes every configured suite against one device at a time.
 
     Built once per campaign; holds the assembled suite programs, the
-    SiliFuzz corpus, and a failure-model → instrumented-netlist memo.
-    With the ``fork`` start method the whole runner is inherited by
-    worker processes at fork time, so the per-campaign state ships to
-    each worker exactly once.
+    SiliFuzz corpus and the outcome memos.  Instrumented netlists are
+    not per runner: :meth:`failing_netlist` reads the process-wide
+    memo, which outlives the runner.  With the ``fork`` start method
+    the whole runner is inherited by worker processes at fork time, so
+    the per-campaign state ships to each worker exactly once.
     """
 
     def __init__(
@@ -138,7 +141,6 @@ class DeviceRunner:
         self.unit = unit
         self.config = config
         self.library = library
-        self._failing: Dict[str, Netlist] = {}
         self._outcomes: Dict[tuple, List[SuiteOutcome]] = {}
         self._suite_outcomes: Dict[tuple, SuiteOutcome] = {}
         self.random_library: Optional[AgingLibrary] = None
@@ -170,17 +172,16 @@ class DeviceRunner:
 
     # -- per-device pieces ---------------------------------------------
     def failing_netlist(self, model: FailureModel) -> Netlist:
-        """Instrumented netlist for ``model`` (memoized per label).
+        """Instrumented netlist for ``model``, shared per process.
 
-        Devices sharing a failure model share the netlist object, and
-        therefore the gate simulator's compiled step function — each
-        device still gets its own simulator *state*.
+        Resolves through :func:`~repro.lifting.instrument.
+        shared_failing_netlist`: every device, campaign and scheduled
+        run over this golden netlist object that carries ``model``
+        shares one read-only netlist, and therefore the gate
+        simulator's compiled step function — each device still gets its
+        own simulator *state*.
         """
-        netlist = self._failing.get(model.label)
-        if netlist is None:
-            netlist = make_failing_netlist(self.netlist, model).netlist
-            self._failing[model.label] = netlist
-        return netlist
+        return shared_failing_netlist(self.netlist, model)
 
     def backends(self, spec: DeviceSpec) -> dict:
         """Backend kwargs for one device; healthy devices run golden."""

@@ -193,8 +193,9 @@ class UnitExperiment:
         """The unit's circuit-level failure-model catalogue.
 
         The campaign sampler assigns these to faulty devices; the
-        instrumented netlists themselves are built lazily by the device
-        runner, so the catalogue stays cheap to pass across a fork.
+        instrumented netlists themselves are built lazily, once per
+        process, through the shared failing-netlist memo, so the
+        catalogue stays cheap to build and to pass across a fork.
         """
         return [
             f.model for f in self.failing_netlists(constructed_only)
@@ -319,7 +320,7 @@ class ExperimentContext:
                 clock_margin=0.03, max_paths_per_endpoint=100
             )
         )
-        self._streams: Optional[Dict[str, list]] = None
+        self._streams: Dict[str, list] = {}
         self._timing_lib: Optional[AgingTimingLibrary] = None
         self._units: Dict[str, UnitExperiment] = {}
 
@@ -328,13 +329,16 @@ class ExperimentContext:
 
         The ALU/FPU use the paper's representative workload (minver,
         §4); the MDU extension uses the RV32M matrix-multiply kernel,
-        since minver never issues multiply instructions.
+        since minver never issues multiply instructions.  Each program
+        runs on the first request for a unit it feeds.
         """
-        if self._streams is None:
-            self._streams = collect_unit_streams([REPRESENTATIVE])
-            self._streams["mdu"] = collect_unit_streams(["matmult_hw"])[
-                "mdu"
-            ]
+        if unit not in self._streams:
+            if unit == "mdu":
+                program, units = "matmult_hw", ("mdu",)
+            else:
+                program, units = REPRESENTATIVE, ("alu", "fpu")
+            streams = collect_unit_streams([program])
+            self._streams.update({name: streams[name] for name in units})
         return self._streams[unit]
 
     @property

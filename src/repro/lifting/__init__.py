@@ -7,6 +7,7 @@ from .instrument import (
     RANDOM_C_PORT,
     instrument_for_cover,
     make_failing_netlist,
+    shared_failing_netlist,
 )
 from .fuzz import FuzzResult, FuzzTraceGenerator
 from .lifter import (
@@ -32,6 +33,7 @@ __all__ = [
     "RANDOM_C_PORT",
     "instrument_for_cover",
     "make_failing_netlist",
+    "shared_failing_netlist",
     "FuzzResult",
     "FuzzTraceGenerator",
     "ErrorLifter",

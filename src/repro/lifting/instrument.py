@@ -6,6 +6,9 @@ Two modes, exactly as the paper describes:
   the failure model, producing a standalone "failing netlist" — a
   circuit-level failure model usable in simulation (our Table 6/7
   co-simulation) or exportable as Verilog for external tools.
+  :func:`shared_failing_netlist` memoizes it per process, so every
+  campaign and scheduled run over one golden netlist simulates the
+  same instrumented object (and its compiled simulator layout).
 
 * :func:`instrument_for_cover` leaves the original circuit untouched
   and instead builds a *shadow replica* of everything the capture flop
@@ -21,9 +24,11 @@ Two modes, exactly as the paper describes:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core import telemetry
 from ..netlist.netlist import Instance, Net, Netlist
 from .models import CMode, EdgeQualifier, FailureModel, ViolationKind
 
@@ -123,12 +128,32 @@ def _model_output(
     return out
 
 
-@dataclass
 class FailingNetlist:
-    """A standalone circuit-level failure model (§3.3.2, output ❹)."""
+    """A standalone circuit-level failure model (§3.3.2, output ❹).
 
-    netlist: Netlist
-    model: FailureModel
+    :func:`make_failing_netlist` returns one over a private clone.  The
+    lifter's catalogue (:meth:`~repro.lifting.lifter.ErrorLifter.
+    failing_netlists`) returns entries that hold only the golden
+    netlist and the model: ``netlist`` resolves through
+    :func:`shared_failing_netlist` on first read, so a catalogue whose
+    callers read only ``model`` instruments nothing.
+    """
+
+    def __init__(
+        self,
+        model: FailureModel,
+        golden: Netlist,
+        netlist: Optional[Netlist] = None,
+    ):
+        self.model = model
+        self.golden = golden
+        self._netlist = netlist
+
+    @property
+    def netlist(self) -> Netlist:
+        if self._netlist is None:
+            self._netlist = shared_failing_netlist(self.golden, self.model)
+        return self._netlist
 
     def to_verilog(self) -> str:
         from ..netlist.verilog import netlist_to_verilog
@@ -143,7 +168,8 @@ def make_failing_netlist(
 
     For :class:`CMode.RANDOM`, the clone gains a 1-bit input port
     ``fm_c`` that the simulator drives with a fresh random value each
-    cycle.
+    cycle.  Every call builds a fresh clone; use
+    :func:`shared_failing_netlist` for the process-wide copy.
     """
     clone = netlist.clone(f"{netlist.name}__fail_{model.label}")
     x = _find_dff(clone, model.start)
@@ -152,7 +178,41 @@ def make_failing_netlist(
     corrupted = _model_output(clone, model, x, original_d)
     clone.rewire_input(y, "D", corrupted)
     clone.validate()
-    return FailingNetlist(netlist=clone, model=model)
+    return FailingNetlist(model, netlist, clone)
+
+
+#: Instrumented netlists shared per process: golden netlist ->
+#: (golden structural version, {failure model: failing netlist}).
+#: Keyed by object identity, like ``gatesim._COMPILE_CACHE``: a fresh
+#: golden netlist starts empty, and an entry goes when its golden
+#: netlist is collected.  Holding the failing netlist also keeps its
+#: compiled simulator layout cached.
+_FAILING_MEMO: "weakref.WeakKeyDictionary[Netlist, Tuple[int, dict]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def shared_failing_netlist(netlist: Netlist, model: FailureModel) -> Netlist:
+    """The process-wide failing netlist of ``model`` on ``netlist``.
+
+    Built by :func:`make_failing_netlist` on the first request and
+    returned as the same object afterwards, until ``netlist`` mutates
+    (its version moves) and the entry is rebuilt.  Every caller shares
+    the object, so it is read-only by contract: simulate it, export it,
+    never edit it.
+    """
+    entry = _FAILING_MEMO.get(netlist)
+    if entry is None or entry[0] != netlist.version:
+        entry = (netlist.version, {})
+        _FAILING_MEMO[netlist] = entry
+    failing = entry[1].get(model)
+    if failing is None:
+        telemetry.add("lifting.instrument.misses")
+        failing = make_failing_netlist(netlist, model).netlist
+        entry[1][model] = failing
+    else:
+        telemetry.add("lifting.instrument.hits")
+    return failing
 
 
 @dataclass

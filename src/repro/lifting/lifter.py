@@ -28,7 +28,6 @@ from .instrument import (
     FailingNetlist,
     InstrumentationError,
     instrument_for_cover,
-    make_failing_netlist,
 )
 from .models import CMode, FailureModel, ViolationKind
 from .testcase import IsaMapper, TestCase, UnmappableTraceError
@@ -247,7 +246,13 @@ class ErrorLifter:
         sta_report: StaReport,
         c_modes: Sequence[CMode] = (CMode.ZERO, CMode.ONE, CMode.RANDOM),
     ) -> List[FailingNetlist]:
-        """Circuit-level failure models for evaluation (Tables 6/7)."""
+        """Circuit-level failure models for evaluation (Tables 6/7).
+
+        Entries are lazy: each one's ``netlist`` is instrumented through
+        the process-wide :func:`~repro.lifting.instrument.
+        shared_failing_netlist` memo on first read, so building the
+        catalogue costs the models only.
+        """
         out: List[FailingNetlist] = []
         for violation in sta_report.representative_violations():
             kind = (
@@ -262,5 +267,5 @@ class ErrorLifter:
                     kind=kind,
                     c_mode=mode,
                 )
-                out.append(make_failing_netlist(self.netlist, model))
+                out.append(FailingNetlist(model, self.netlist))
         return out

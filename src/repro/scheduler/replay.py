@@ -200,11 +200,14 @@ class ScheduleOutcome:
 class FleetAdapter:
     """Executes dispatched arms on the fleet's simulated devices.
 
-    Wraps the campaign's :class:`DeviceRunner` so gate-level backends,
-    instrumented netlists, and assembled programs are all built once
-    and shared.  Per-arm outcomes are memoized under
-    :func:`device_outcome_key` — devices carrying the same failure
-    model replay the same simulation result instead of re-running it.
+    Wraps the campaign's :class:`DeviceRunner` so gate-level backends
+    and assembled programs are built once per session and shared.
+    Instrumented netlists (and their compiled simulators) outlive the
+    session: the runner reads them from the process-wide memo, so a
+    second session over the same golden netlist object builds none.
+    Per-arm outcomes are memoized under :func:`device_outcome_key` —
+    devices carrying the same failure model replay the same simulation
+    result instead of re-running it.
     """
 
     def __init__(self, runner: DeviceRunner, library: AgingLibrary):

@@ -6,7 +6,12 @@ import pytest
 from repro.cpu import float16 as f16
 from repro.cpu.asm import assemble
 from repro.cpu.cpu import Cpu, GoldenAlu, GoldenFpu, run_program
-from repro.workloads import REPRESENTATIVE, WORKLOADS, collect_operand_streams
+from repro.workloads import (
+    REPRESENTATIVE,
+    WORKLOADS,
+    collect_operand_streams,
+    collect_unit_streams,
+)
 
 
 def _run(name):
@@ -153,6 +158,29 @@ class TestOperandStreams:
     def test_stream_cap(self):
         alu_stream, _ = collect_operand_streams(["crc32"], max_ops_per_unit=10)
         assert len(alu_stream) == 10
+
+
+class TestExperimentStreams:
+    def test_each_program_runs_for_the_units_it_feeds(self, monkeypatch):
+        from repro.core import experiments
+
+        programs = []
+
+        def spy(names, *args, **kwargs):
+            programs.append(list(names))
+            return collect_unit_streams(names, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "collect_unit_streams", spy)
+        context = experiments.ExperimentContext()
+        alu, fpu = context.stream("alu"), context.stream("fpu")
+        assert programs == [[REPRESENTATIVE]]
+        minver = collect_unit_streams([REPRESENTATIVE])
+        assert alu == minver["alu"]
+        assert fpu == minver["fpu"]
+
+        mdu = context.stream("mdu")
+        assert programs == [[REPRESENTATIVE], ["matmult_hw"]]
+        assert mdu == collect_unit_streams(["matmult_hw"])["mdu"]
 
 
 class TestWorkloadRegistry:
