@@ -12,7 +12,7 @@ cells park at stressed states and therefore which paths age worst.
 from repro.aging.charlib import AgingTimingLibrary
 from repro.core.config import AgingAnalysisConfig
 from repro.netlist.cells import VEGA28
-from repro.sim.probes import profile_operand_stream
+from repro.sim.parallel_profile import profile_workload_streams
 from repro.sta.aging_sta import AgingAwareSta
 from repro.workloads import WORKLOADS, collect_operand_streams
 
@@ -24,7 +24,7 @@ def test_ablation_workload_profiles(ctx, benchmark, recorder):
 
     def analyze(names):
         stream, _ = collect_operand_streams(names, max_ops_per_unit=4000)
-        profile = profile_operand_stream(alu, stream)
+        profile = profile_workload_streams(alu, {"stream": stream})
         sta = AgingAwareSta(alu, timing_lib, config=config)
         return profile, sta.analyze(profile)
 

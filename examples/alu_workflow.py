@@ -18,7 +18,7 @@ from repro.cpu.mappers import AluMapper
 from repro.integration.library_gen import AgingLibrary
 from repro.lifting.lifter import ErrorLifter
 from repro.netlist.cells import VEGA28
-from repro.sim.probes import profile_operand_stream
+from repro.sim.parallel_profile import profile_workload_streams
 from repro.sta.aging_sta import AgingAwareSta
 from repro.workloads import collect_operand_streams
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     print("\n[1/4] Signal-probability profiling with 'minver' ...")
     alu_stream, _ = collect_operand_streams(["minver"])
-    profile = profile_operand_stream(alu, alu_stream)
+    profile = profile_workload_streams(alu, {"minver": alu_stream})
     parked_low = sum(1 for v in profile.sp.values() if v < 0.05)
     print(f"  {len(alu_stream)} ALU operations profiled; "
           f"{parked_low}/{len(profile.sp)} nets parked near logic 0")

@@ -24,7 +24,7 @@ from repro.lifting.instrument import make_failing_netlist
 from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
 from repro.netlist.cells import VEGA28
-from repro.sim.probes import profile_operand_stream
+from repro.sim.parallel_profile import profile_workload_streams
 from repro.sta.aging_sta import AgingAwareSta
 from repro.workloads import collect_operand_streams
 
@@ -36,7 +36,7 @@ def main() -> None:
 
     print("\n[1/4] Profiling + aging STA with datapath clock gating ...")
     _, fpu_stream = collect_operand_streams(["minver"])
-    profile = profile_operand_stream(fpu, fpu_stream)
+    profile = profile_workload_streams(fpu, {"minver": fpu_stream})
     gated = {d.name: 0.96 for d in fpu.dffs() if d.name != "v_q_r0"}
     sta = AgingAwareSta(
         fpu,

@@ -20,7 +20,6 @@ integrate      phase 3: profile-guided splicing into a workload
 trace          summarize a JSONL telemetry trace
 campaign       fleet-scale fault-injection campaigns (run / report)
 bench          canonical benchmark trajectory (compare / report)
-surrogate      ML aging surrogate (train / validate / triage)
 respond        detection→response reconfiguration policies
 schedule       adaptive dispatch service (checkpoints, resume, replay)
 =============  =====================================================
@@ -112,17 +111,6 @@ def _add_fleet(p: argparse.ArgumentParser, devices: int, suites: str) -> None:
                    help="fleet seed; drives every fleet draw")
     p.add_argument("--suites", default=suites,
                    help="comma-separated detection suites to run")
-
-
-def _add_surrogate_data(p: argparse.ArgumentParser) -> None:
-    """Arguments shared by ``surrogate train`` and ``surrogate validate``."""
-    _add_unit(p)
-    p.add_argument("--samples", type=_positive_int, default=96,
-                   help="labeled sweep size (default: 96)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="surrogate seed; drives every dataset draw")
-    _add_workers(p)
-    _add_cache(p)
 
 
 def _add_scheduler(p: argparse.ArgumentParser) -> None:
@@ -319,50 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+", help="BENCH_<name>.json documents")
 
     p = sub.add_parser(
-        "surrogate",
-        help="ML aging surrogate: train on exact charlib+STA labels, "
-             "validate held-out recall, triage fleets",
-    )
-    surrogate_sub = p.add_subparsers(dest="surrogate_command", required=True)
-    p = surrogate_sub.add_parser(
-        "train",
-        help="generate the labeled sweep (cached, parallel), fit the "
-             "ridge surrogate, calibrate the triage threshold, and "
-             "validate held-out recall (fails closed below the floor)",
-    )
-    _add_surrogate_data(p)
-    p.add_argument("-o", "--output", default=None, metavar="FILE",
-                   help="model snapshot path (default: "
-                        "surrogate_<unit>.json)")
-    p = surrogate_sub.add_parser(
-        "validate",
-        help="re-validate a trained surrogate snapshot against the "
-             "held-out rows of its labeled sweep",
-    )
-    _add_surrogate_data(p)
-    p.add_argument("--model", required=True, metavar="FILE",
-                   help="trained surrogate snapshot (surrogate train -o)")
-    p = surrogate_sub.add_parser(
-        "triage",
-        help="score a sampled fleet with the surrogate, clear the "
-             "safe cohort, and run the campaign suites against the "
-             "exactly re-verified risky tail",
-    )
-    _add_unit(p)
-    _add_mitigation(p)
-    p.add_argument("--model", required=True, metavar="FILE",
-                   help="trained surrogate snapshot (surrogate train -o)")
-    _add_fleet(p, devices=32, suites="vega")
-    p.add_argument("--surrogate-seed", type=int, default=7,
-                   help="surrogate seed (per-net workload noise streams; "
-                        "must match the training sweep's)")
-    _add_report(p, "tail CampaignReport")
-    p.add_argument("--verify-exact", action="store_true",
-                   help="also run the all-exact profiled campaign and "
-                        "assert the flagged devices' report rows are "
-                        "byte-identical (exits nonzero on divergence)")
-
-    p = sub.add_parser(
         "schedule",
         help="drive an adaptive dispatch schedule to completion and "
              "report per-policy detection outcomes",
@@ -404,12 +348,12 @@ def _csv(text: str) -> tuple:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
-def _write_report(args, report, out, label: str = "report") -> None:
+def _write_report(args, report, out) -> None:
     """Write ``report.to_json()`` to ``--report`` when it is given."""
     if args.report:
         with open(args.report, "w") as fp:
             fp.write(report.to_json())
-        print(f"  {label} written to {args.report}", file=out)
+        print(f"  report written to {args.report}", file=out)
 
 
 def _emit(args, text: str, out) -> int:
@@ -744,144 +688,6 @@ def cmd_bench(args, out) -> int:
         print(f"  {finding.format()}", file=out)
     print(result.summary(), file=out)
     return 1 if result.failed else 0
-
-
-def _print_validation(report, out) -> None:
-    print(f"validation: {report.rows} held-out row(s), "
-          f"{report.risky_rows} risky", file=out)
-    print(f"  risky-tail recall: {report.recall:.3f} "
-          f"(threshold {report.threshold:.3f}y, "
-          f"flagged {report.flagged_fraction:.1%})", file=out)
-    print(f"  onset MAE: {report.onset_mae_years:.3f}y  "
-          f"slack spearman: {report.slack_spearman:.3f}", file=out)
-
-
-def _surrogate_dataset(args, unit, out):
-    from .core.config import SurrogateConfig
-    from .netlist.cells import VEGA28
-    from .surrogate import generate_dataset
-
-    config = SurrogateConfig(
-        samples=args.samples, seed=args.seed, workers=args.workers
-    )
-    dataset = generate_dataset(
-        unit.netlist, VEGA28, unit.sp_profile, config, cache=_cache(args)
-    )
-    print(f"dataset: {len(dataset.rows)} labeled row(s) on {args.unit} "
-          f"(digest {dataset.digest()[:16]})", file=out)
-    return config, dataset
-
-
-def _load_surrogate(path, verb):
-    from .surrogate import RidgeSurrogate
-
-    try:
-        with open(path) as fp:
-            return RidgeSurrogate.from_json(fp.read())
-    except (OSError, ValueError) as exc:
-        print(f"surrogate {verb}: cannot load model {path}: {exc}",
-              file=sys.stderr)
-        return None
-
-
-def cmd_surrogate(args, out) -> int:
-    import json
-
-    from .surrogate import SurrogateValidationError
-
-    unit = default_context().unit(args.unit)
-
-    if args.surrogate_command == "train":
-        from .surrogate import train_surrogate
-
-        config, dataset = _surrogate_dataset(args, unit, out)
-        try:
-            model, report = train_surrogate(dataset, config)
-        except SurrogateValidationError as exc:
-            print(f"surrogate train: {exc}", file=sys.stderr)
-            return 1
-        path = args.output or f"surrogate_{args.unit}.json"
-        with open(path, "w") as fp:
-            fp.write(model.to_json() + "\n")
-        print(f"model written to {path} "
-              f"(digest {model.digest()[:16]})", file=out)
-        _print_validation(report, out)
-        return 0
-
-    if args.surrogate_command == "validate":
-        from .surrogate import validate_model
-
-        model = _load_surrogate(args.model, "validate")
-        if model is None:
-            return 2
-        config, dataset = _surrogate_dataset(args, unit, out)
-        _, holdout_rows = dataset.split(
-            config.holdout_fraction, config.seed
-        )
-        try:
-            report = validate_model(
-                model, holdout_rows, recall_floor=config.recall_floor
-            )
-        except SurrogateValidationError as exc:
-            print(f"surrogate validate: FAILED: {exc}", file=sys.stderr)
-            return 1
-        _print_validation(report, out)
-        return 0
-
-    # triage
-    from .campaign.engine import CampaignEngine
-    from .core.config import CampaignConfig, SurrogateConfig
-    from .netlist.cells import VEGA28
-    from .surrogate import profiled_fleet, run_surrogate_campaign
-
-    model = _load_surrogate(args.model, "triage")
-    if model is None:
-        return 2
-    config = CampaignConfig(
-        devices=args.devices, seed=args.seed, suites=_csv(args.suites)
-    )
-    surrogate = SurrogateConfig(seed=args.surrogate_seed)
-    models = unit.failure_models()
-    library = unit.suite(args.mitigation)
-    outcome, report = run_surrogate_campaign(
-        unit.netlist,
-        args.unit,
-        library,
-        VEGA28,
-        unit.sp_profile,
-        models,
-        model,
-        config=config,
-        surrogate=surrogate,
-    )
-    print(f"triage: {len(outcome.cleared)} cleared, "
-          f"{len(outcome.flagged)} flagged of {config.devices} device(s) "
-          f"(threshold {outcome.threshold:.3f}y)", file=out)
-    print(report.summary(), file=out)
-    _write_report(args, report, out, label="tail report")
-    if args.verify_exact:
-        exact = profiled_fleet(
-            unit.netlist, VEGA28, unit.sp_profile, models,
-            config, surrogate,
-        )
-        exact_report = CampaignEngine(
-            unit.netlist, args.unit, library, models,
-            config=config, fleet=exact,
-        ).run()
-        flagged_ids = {d.device_id for d in outcome.flagged}
-        exact_rows = [
-            row for row in exact_report.device_rows
-            if row["device"] in flagged_ids
-        ]
-        identical = (
-            json.dumps(exact_rows, sort_keys=True)
-            == json.dumps(report.device_rows, sort_keys=True)
-        )
-        print(f"  flagged rows byte-identical to exact campaign: "
-              f"{'yes' if identical else 'NO - DIVERGED'}", file=out)
-        if not identical:
-            return 1
-    return 0
 
 
 def _scheduler_session(args):

@@ -210,14 +210,15 @@ class SurrogateConfig:
     The surrogate learns (workload SP profile, corner, age) ->
     (violation onset, worst slack) from labeled pairs generated by the
     exact charlib+STA pipeline, then triages sampled fleets so only
-    the predicted-risky tail pays for exact analysis.
+    the predicted-risky tail pays for exact analysis.  Only the
+    repository benchmark's alu-fleet stage runs it.
 
     Attributes:
         samples: Training-sweep size (labeled rows generated).
         seed: Seed for the ``surrogate.*`` RNG streams (sample draws,
             per-net workload noise, train/holdout split).
         level_buckets: Logic-depth buckets in the SP feature vector
-            (:meth:`repro.sim.probes.SPProfile.feature_vector`).
+            (:class:`repro.surrogate.features.FleetFeaturizer`).
         skew_min / skew_max: Workload skew-intensity range.  Positive
             intensity pushes SPs toward 0 (the maximally BTI-stressed
             state for ``stress_state == 0`` cells), negative toward 1
@@ -238,8 +239,6 @@ class SurrogateConfig:
         threshold_margin: Relative safety margin added to the
             calibrated triage threshold (flag if predicted onset <=
             threshold * (1 + margin)).
-        workers: Fork workers for dataset generation; 0 = one per CPU.
-            Datasets are byte-identical for any worker count.
     """
 
     samples: int = 96
@@ -255,7 +254,6 @@ class SurrogateConfig:
     ridge_lambda: float = 1e-2
     recall_floor: float = 0.95
     threshold_margin: float = 0.25
-    workers: int = 1
 
     def __post_init__(self) -> None:
         _check_age_grid(self.age_grid)
@@ -382,6 +380,5 @@ class VegaConfig:
     )
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
     response: ResponseConfig = field(default_factory=ResponseConfig)
     cache_dir: Optional[str] = None

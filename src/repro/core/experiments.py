@@ -38,7 +38,8 @@ from ..integration.library_gen import AgingLibrary, DetectionResult
 from ..lifting.lifter import ErrorLifter, LiftingReport
 from ..lifting.models import CMode
 from ..netlist.netlist import Netlist
-from ..sim.probes import SPProfile, profile_operand_stream
+from ..sim.parallel_profile import profile_workload_streams
+from ..sim.probes import SPProfile
 from ..sta.aging_sta import AgingAwareSta, AgingStaResult
 from ..workloads import REPRESENTATIVE, collect_unit_streams
 
@@ -122,7 +123,9 @@ class UnitExperiment:
     def sp_profile(self) -> SPProfile:
         if self._profile is None:
             stream = self.context.stream(self.unit)
-            self._profile = profile_operand_stream(self.netlist, stream)
+            self._profile = profile_workload_streams(
+                self.netlist, {self.unit: stream}
+            )
         return self._profile
 
     @property

@@ -1,7 +1,7 @@
 """Fork fan-out: one process pool for every parallel phase.
 
-SP profiling chunks, Error Lifting endpoint pairs, campaign device
-shards and surrogate label chunks are independent units of work.
+SP profiling chunks, Error Lifting endpoint pairs and campaign device
+shards are independent units of work.
 :func:`fork_map` runs ``fn(state, task)`` over them:
 
 * ``state`` reaches each worker once, inherited at ``fork`` time, and

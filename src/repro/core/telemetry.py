@@ -30,7 +30,6 @@ verb.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
@@ -175,23 +174,10 @@ class Telemetry:
         )
 
     def to_jsonl(self) -> str:
-        out = io.StringIO()
-        for record in self.trace_records():
-            out.write(json.dumps(record, sort_keys=True))
-            out.write("\n")
-        return out.getvalue()
+        return dump_trace(self.trace_records())
 
     def write_jsonl(self, path: str) -> None:
-        # pid-suffixed tmp + fsync: concurrent writers (fork workers)
-        # publishing under one path must not clobber each other's
-        # half-written tmp, and the rename must never publish a
-        # partially flushed trace after a crash.
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fp:
-            fp.write(self.to_jsonl())
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
+        write_trace(path, self.trace_records())
 
     def summary_markdown(self) -> str:
         return summarize_trace(self.trace_records())
@@ -282,8 +268,24 @@ def parse_trace(text: str) -> List[dict]:
 
 
 def dump_trace(records: List[dict]) -> str:
-    """Re-serialize parsed records to canonical JSONL."""
+    """Serialize trace records to canonical JSONL (sorted keys)."""
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def write_trace(path: str, records: List[dict]) -> None:
+    """Publish ``dump_trace(records)`` at ``path`` atomically.
+
+    The tmp name carries the pid, so concurrent writers (fork workers,
+    processes sharing one path) never clobber each other's half-written
+    tmp; fsync before ``os.replace``, so the rename never publishes an
+    empty or partially flushed trace after a crash.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fp:
+        fp.write(dump_trace(records))
+        fp.flush()
+        os.fsync(fp.fileno())
+    os.replace(tmp, path)
 
 
 def read_trace(path: str) -> List[dict]:

@@ -41,9 +41,6 @@ unchanged.
 
 from __future__ import annotations
 
-import io
-import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -99,25 +96,10 @@ class EventLog:
         ]
 
     def to_jsonl(self) -> str:
-        out = io.StringIO()
-        for record in self.trace_records():
-            out.write(json.dumps(record, sort_keys=True))
-            out.write("\n")
-        return out.getvalue()
+        return telemetry.dump_trace(self.trace_records())
 
     def write_jsonl(self, path: str) -> None:
-        # The tmp name carries the pid: concurrent processes may
-        # publish logs under the same path, and a shared
-        # f"{path}.tmp" would let two writers clobber each other's
-        # half-written file before the rename.  fsync before
-        # os.replace so the atomic rename never publishes an empty or
-        # partially flushed log after a crash.
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fp:
-            fp.write(self.to_jsonl())
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
+        telemetry.write_trace(path, self.trace_records())
 
 
 class ServiceKilled(Exception):

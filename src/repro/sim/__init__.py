@@ -6,16 +6,12 @@ from .gatesim import (
     pack_vectors,
     unpack_vectors,
 )
-from .parallel_profile import (
-    profile_operand_stream_parallel,
-    profile_workload_streams,
-)
+from .parallel_profile import profile_workload_streams
 from .probes import (
     ActivityProfile,
     SPCounter,
     SPProfile,
     profile_activity,
-    profile_operand_stream,
     profile_stimulus,
 )
 from .vcd import VcdWriter
@@ -30,8 +26,6 @@ __all__ = [
     "SPCounter",
     "SPProfile",
     "profile_activity",
-    "profile_operand_stream",
-    "profile_operand_stream_parallel",
     "profile_stimulus",
     "profile_workload_streams",
     "VcdWriter",

@@ -332,12 +332,11 @@ class GateSimulator:
     ) -> List[Dict[str, int]]:
         """Clock the netlist through a stimulus sequence; collect outputs.
 
-        Equivalent to calling :meth:`step` per vector, but the compiled
-        ``_cycle`` function, input applicator, and hot attribute lookups
-        are hoisted out of the loop, so the per-cycle cost is the
-        compiled straight-line evaluation plus state capture only —
-        no re-entry into the :meth:`_compile` cache machinery or method
-        dispatch per cycle.
+        Equivalent to calling :meth:`step` per vector, and the same
+        per-cycle work: the compiled cycle function and the netlist
+        layout are bound at construction, so neither path re-enters
+        the compile cache.  ``run`` only binds the hot attributes once
+        and adds the ``sim.cycles`` counter once per call.
         """
         eval_fn = self._eval
         apply_fn = self._apply_packed_inputs if packed else self._apply_inputs

@@ -1,21 +1,24 @@
-"""Parallel SP profiling — sharded Aging Analysis workload simulation.
+"""SP profiling of operand streams — the one Aging Analysis profiler.
 
-Signal-probability profiling (§3.2.1) is embarrassingly parallel at two
-granularities, and this module exploits both:
+Signal-probability profiling (§3.2.1) packs ``lanes`` operations into
+one simulated stream: each packed batch resets the simulator and runs
+``1 + drain_cycles`` steps, sampling after each, so pipelined results
+reach the output registers and their SP is observed too.  Because every
+batch starts from reset, the work is embarrassingly parallel at two
+granularities, and :func:`profile_workload_streams` exploits both:
 
 * **across workloads** — each representative workload's operand stream
   is an independent simulation;
-* **within a workload** — :func:`repro.sim.probes.profile_operand_stream`
-  resets the simulator per packed batch, so a long stream splits into
-  *chunks* at lane-batch boundaries, each chunk an independent packed
-  simulation over its cycle range.
+* **within a workload** — a long stream splits into *chunks* at
+  lane-batch boundaries, each chunk an independent packed simulation
+  over its cycle range.
 
 Chunk boundaries depend only on ``lanes`` and ``chunk_batches`` — never
 on the worker count — and each chunk contributes raw integer one-counts
 which are summed in deterministic chunk order before a single final
-division.  A parallel profile is therefore **bit-identical** to the
-serial one for any worker count, and both are bit-identical to the
-monolithic :func:`profile_operand_stream` result.  Chunks fan out
+division.  A profile is therefore **bit-identical** for any worker
+count, and equal to the scalar one-operand-at-a-time reference
+(``tests/oracles.profile_operand_stream_reference``).  Chunks fan out
 through :func:`repro.core.pool.fork_map`.
 """
 
@@ -64,9 +67,8 @@ def plan_chunks(
 def _count_chunk(state: tuple, chunk: Chunk) -> Tuple[List[int], int]:
     """Packed-simulate one chunk; return (per-net one-counts, samples).
 
-    The batch loop mirrors :func:`profile_operand_stream` exactly —
-    reset per batch, ``1 + drain_cycles`` steps, sample after each —
-    so per-chunk counts add up to the monolithic run's counts.
+    Reset per batch, ``1 + drain_cycles`` steps, sample after each, so
+    per-chunk counts add up to one run over the whole stream.
     """
     netlist, streams, lanes, drain_cycles, sim = state
     operands = streams[chunk.workload][chunk.start : chunk.stop]
@@ -123,26 +125,4 @@ def profile_workload_streams(
     ones_by_net = {name: totals[i] for i, name in enumerate(names)}
     return SPProfile(
         netlist_name=netlist.name, sp=sp, samples=samples, ones=ones_by_net
-    )
-
-
-def profile_operand_stream_parallel(
-    netlist: Netlist,
-    operands: Sequence[Mapping[str, int]],
-    lanes: int = 256,
-    drain_cycles: int = 2,
-    workers: int = 1,
-    chunk_batches: int = DEFAULT_CHUNK_BATCHES,
-) -> SPProfile:
-    """Sharded drop-in for :func:`~repro.sim.probes.profile_operand_stream`.
-
-    Bit-identical to the monolithic packed run for any ``workers``.
-    """
-    return profile_workload_streams(
-        netlist,
-        {"stream": operands},
-        lanes=lanes,
-        drain_cycles=drain_cycles,
-        workers=workers,
-        chunk_batches=chunk_batches,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from ..netlist.netlist import Netlist
 from .gatesim import GateSimulator
@@ -128,89 +128,6 @@ class SPProfile:
             samples=int(data["samples"]),
             ones={k: int(v) for k, v in ones.items()} if ones is not None else None,
         )
-
-    # -- feature extraction (shared by profiling and the surrogate) -----
-    def level_aggregates(
-        self, netlist: Netlist, buckets: int = 8
-    ) -> List[Tuple[float, float, float]]:
-        """(mean, min, max) SP per logic-depth bucket.
-
-        Combinational nets are grouped by their logic depth (see
-        :func:`net_levels`) into ``buckets`` equal-width depth bands, so
-        the aggregates separate shallow decode logic from the deep
-        arithmetic cones where aged paths actually fail.  Empty buckets
-        report the neutral (0.5, 0.5, 0.5) so the feature width is
-        fixed for any netlist.  Iteration is name-sorted throughout —
-        the aggregates are bit-identical for any profile dict order.
-        """
-        levels = net_levels(netlist)
-        max_level = max(levels.values(), default=0)
-        groups: List[List[float]] = [[] for _ in range(buckets)]
-        for name in sorted(levels):
-            sp = self.sp.get(name)
-            if sp is None:
-                continue
-            bucket = min(
-                buckets - 1, (levels[name] - 1) * buckets // max(1, max_level)
-            )
-            groups[bucket].append(sp)
-        out: List[Tuple[float, float, float]] = []
-        for values in groups:
-            if values:
-                out.append(
-                    (sum(values) / len(values), min(values), max(values))
-                )
-            else:
-                out.append((0.5, 0.5, 0.5))
-        return out
-
-    def feature_vector(self, netlist: Netlist, buckets: int = 8):
-        """Fixed-width numpy summary of this profile over ``netlist``.
-
-        Layout (``7 + 3 * buckets`` floats):
-
-        0. mean SP over all profiled nets
-        1. population standard deviation of SP
-        2. fraction of nets with SP <= 0.1 (near-DC low: the maximally
-           BTI-stressed population for ``stress_state == 0`` cells)
-        3. fraction of nets with SP >= 0.9 (near-DC high)
-        4. mean toggle proxy ``2 * sp * (1 - sp)``
-        5. mean SP of DFF outputs (architectural-state stress)
-        6. mean SP of combinational nets
-        7... per-level (mean, min, max) triples from
-           :meth:`level_aggregates`
-
-        All reductions run in name-sorted order so the vector is
-        bit-identical regardless of profile construction order.
-        """
-        import numpy as np
-
-        names = sorted(self.sp)
-        values = [self.sp[name] for name in names]
-        n = max(1, len(values))
-        mean = sum(values) / n
-        var = sum((v - mean) ** 2 for v in values) / n
-        low = sum(1 for v in values if v <= 0.1) / n
-        high = sum(1 for v in values if v >= 0.9) / n
-        toggle = sum(2.0 * v * (1.0 - v) for v in values) / n
-        dff_nets = sorted(
-            dff.output_net.name for dff in netlist.dffs()
-            if dff.output_net.name in self.sp
-        )
-        dff_mean = (
-            sum(self.sp[name] for name in dff_nets) / len(dff_nets)
-            if dff_nets else 0.5
-        )
-        comb_names = sorted(net_levels(netlist))
-        comb = [self.sp[name] for name in comb_names if name in self.sp]
-        comb_mean = sum(comb) / len(comb) if comb else 0.5
-        head = [mean, var ** 0.5, low, high, toggle, dff_mean, comb_mean]
-        tail = [
-            value
-            for triple in self.level_aggregates(netlist, buckets)
-            for value in triple
-        ]
-        return np.asarray(head + tail, dtype=np.float64)
 
 
 class SPCounter:
@@ -337,39 +254,3 @@ def profile_activity(
         sim.step(dict(vector))
         counter.sample(sim)
     return counter.activity()
-
-
-def profile_operand_stream(
-    netlist: Netlist,
-    operands: Sequence[Mapping[str, int]],
-    lanes: int = 256,
-    drain_cycles: int = 2,
-) -> SPProfile:
-    """Profile a long operand stream with bit-parallel batching.
-
-    ``operands`` is a list of per-port integer values (one dict per
-    operation, e.g. the ALU inputs recorded while a workload ran on the
-    ISA simulator).  Operations are packed ``lanes`` at a time into one
-    simulated stream, which keeps profiling long workloads cheap.
-    ``drain_cycles`` extra cycles let pipelined results reach the
-    output registers so their SP is observed too.
-    """
-    from .gatesim import pack_vectors
-
-    if not operands:
-        raise ValueError("empty operand stream")
-    sim = GateSimulator(netlist)
-    counter = SPCounter(netlist)
-    ports = {p.name: p.width for p in netlist.input_ports()}
-    for start in range(0, len(operands), lanes):
-        batch = operands[start : start + lanes]
-        mask = (1 << len(batch)) - 1
-        packed_inputs: Dict[str, list] = {}
-        for name, width in ports.items():
-            values = [op.get(name, 0) for op in batch]
-            packed_inputs[name] = pack_vectors(values, width)
-        sim.reset()
-        for _ in range(1 + drain_cycles):
-            sim.step(packed_inputs, mask=mask, packed=True)
-            counter.sample(sim, mask=mask)
-    return counter.profile()

@@ -1,72 +1,35 @@
-"""ML aging surrogate for fleet-scale triage (ROADMAP item 3).
+"""ML aging surrogate for fleet triage, kept for one benchmark stage.
 
-The exact bottom-up pipeline (SP profiling -> charlib aging -> STA) is
-the ground truth for one device, but proving a device *clean* costs a
-full lifetime sweep — far too expensive per device once the campaign
-layer samples fleets of thousands.  Following Genssler et al. (arXiv
-2207.04134), workload-dependent aging is learnable from compact
-features, so this package:
+The exact bottom-up pipeline (SP profiling -> charlib aging -> STA)
+labels every device; following Genssler et al. (arXiv 2207.04134),
+this package learns workload-dependent aging from compact features so
+that a sampled fleet's predicted-clean cohort could skip that pipeline.
+Measured on the ALU, it is no faster than labeling every device
+exactly at 64 or 512 devices, and no CLI verb runs it.  It stays only
+because the repository benchmark's alu-fleet train/triage stage calls
+the five names below; it goes with that stage.
 
-* generates labeled (features -> onset, slack) pairs by sweeping
-  workload-skewed SP profiles through the exact pipeline
-  (:mod:`dataset`, :mod:`oracle`),
-* trains a dependency-light numpy ridge regressor with bit-reproducible
-  JSON snapshots (:mod:`model`),
-* validates held-out onset MAE / slack rank correlation / risky-tail
-  recall and fails closed below the recall floor (:mod:`validate`), and
-* triages sampled fleets: the surrogate-cleared cohort skips the exact
-  pipeline entirely while the predicted-risky tail is re-verified
-  exactly, byte-identical to the all-exact path (:mod:`triage`).
+* :func:`generate_dataset` labels workload-skewed SP profiles with the
+  exact pipeline (:mod:`dataset`, :mod:`oracle`);
+* :func:`train_surrogate` fits a numpy ridge regressor
+  (:mod:`model`), calibrates its triage threshold and fails closed
+  with :class:`SurrogateValidationError` when held-out risky-tail
+  recall lands below the floor (:mod:`validate`);
+* :func:`triage_fleet` scores a fleet, and :func:`profiled_fleet`
+  builds the exactly analyzed device specs of any index subset, which
+  :class:`~repro.campaign.engine.CampaignEngine` runs as its ``fleet``
+  (:mod:`triage`).
 """
 
-from .dataset import (
-    DATASET_SCHEMA,
-    SurrogateDataset,
-    device_sp_vector,
-    generate_dataset,
-)
-from .features import (
-    FEATURE_SCHEMA,
-    FleetFeaturizer,
-    device_features,
-    feature_names,
-)
-from .model import MODEL_SCHEMA, RidgeSurrogate, train_surrogate
-from .oracle import ExactAgingOracle
-from .triage import (
-    TriageOutcome,
-    TriagedDevice,
-    profiled_fleet,
-    run_surrogate_campaign,
-    triage_fleet,
-)
-from .validate import (
-    SurrogateValidationError,
-    ValidationReport,
-    calibrate_threshold,
-    validate_model,
-)
+from .dataset import generate_dataset
+from .model import train_surrogate
+from .triage import profiled_fleet, triage_fleet
+from .validate import SurrogateValidationError
 
 __all__ = [
-    "DATASET_SCHEMA",
-    "FEATURE_SCHEMA",
-    "MODEL_SCHEMA",
-    "ExactAgingOracle",
-    "FleetFeaturizer",
-    "RidgeSurrogate",
-    "SurrogateDataset",
     "SurrogateValidationError",
-    "TriageOutcome",
-    "TriagedDevice",
-    "ValidationReport",
-    "calibrate_threshold",
-    "device_features",
-    "device_sp_vector",
-    "feature_names",
     "generate_dataset",
     "profiled_fleet",
-    "run_surrogate_campaign",
     "train_surrogate",
     "triage_fleet",
-    "validate_model",
 ]

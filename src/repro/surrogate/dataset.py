@@ -8,8 +8,8 @@ the worst setup slack at a sampled age.  Rows are a pure function of
 
 * all draws come off ``stream_rng("surrogate.dataset", seed, index)``
   and the per-net noise off the shared
-  :func:`device_sp_vector` PCG64 stream, so any worker count and any
-  process produces byte-identical rows;
+  :func:`device_sp_vector` PCG64 stream, so any process produces
+  byte-identical rows;
 * values are normalized through the benchmark harness's
   :func:`repro.bench.canon_value` at construction, so the canonical
   JSON is stable against float formatting differences;
@@ -33,7 +33,6 @@ from ..bench.sample import canon_value, canonical_dumps
 from ..core import telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import SurrogateConfig
-from ..core.pool import fork_map, resolve_workers
 from ..core.rng import stream_rng, stream_seed
 from ..netlist.cells import CellLibrary
 from ..netlist.netlist import Netlist
@@ -86,8 +85,8 @@ def sample_draws(
     """(intensity, corner name, slack-sample age) for one dataset row.
 
     One named stream per row: draw order is fixed (intensity, corner,
-    age) and independent of every other row, which is what lets workers
-    label arbitrary index subsets.
+    age) and independent of every other row, so a row does not depend
+    on how many rows precede it.
     """
     rng = stream_rng("surrogate.dataset", config.seed, index)
     intensity = rng.uniform(config.skew_min, config.skew_max)
@@ -100,8 +99,8 @@ def sample_draws(
 class SurrogateDataset:
     """A labeled sweep, canonically serializable.
 
-    ``rows`` hold plain canon-normalized JSON values only; ``to_json``
-    is byte-stable and :meth:`digest` fingerprints it.
+    ``rows`` hold plain canon-normalized JSON values only, so
+    ``to_json`` is byte-stable.
     """
 
     netlist_name: str
@@ -142,9 +141,6 @@ class SurrogateDataset:
             feature_names=list(data["feature_names"]),
             rows=list(data["rows"]),
         )
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     # -- matrices -------------------------------------------------------
     def matrices(
@@ -208,22 +204,10 @@ def _label_row(
     )
 
 
-def _label_chunk(state: tuple, indices: List[int]) -> List[Dict[str, Any]]:
-    config, featurizer, oracle, base_sp = state
-    return [
-        _label_row(index, config, featurizer, oracle, base_sp)
-        for index in indices
-    ]
-
-
 def dataset_key(
     netlist: Netlist, base: SPProfile, config: SurrogateConfig
 ) -> str:
-    """Content-addressed identity of a generated dataset.
-
-    ``workers`` stays out on purpose: any worker count generates the
-    same bytes.
-    """
+    """Content-addressed identity of a generated dataset."""
     return ArtifactCache.digest(
         "surrogate-dataset",
         DATASET_SCHEMA,
@@ -250,12 +234,10 @@ def generate_dataset(
     config: Optional[SurrogateConfig] = None,
     cache: Optional[ArtifactCache] = None,
 ) -> SurrogateDataset:
-    """Run the labeled sweep (cached, parallel, byte-deterministic).
+    """Run the labeled sweep (cached, byte-deterministic).
 
-    Rows are generated for indices ``0..samples-1``; workers label
-    contiguous chunks and results reassemble in index order, so the
-    output is byte-identical for any ``config.workers`` and across
-    process restarts.
+    Rows are labeled for indices ``0..samples-1`` in order, so the
+    output is byte-identical across process restarts.
     """
     config = config or SurrogateConfig()
     key = dataset_key(netlist, base_profile, config)
@@ -267,27 +249,12 @@ def generate_dataset(
     featurizer = FleetFeaturizer(netlist, buckets=config.level_buckets)
     oracle = ExactAgingOracle(netlist, config=config)
     base_sp = featurizer.base_vector(base_profile)
-    indices = list(range(config.samples))
-    workers = resolve_workers(config.workers, len(indices))
-    chunk = max(1, (len(indices) + workers - 1) // workers)
-    chunks = [
-        indices[start : start + chunk]
-        for start in range(0, len(indices), chunk)
-    ]
-    state = (config, featurizer, oracle, base_sp)
-
     with telemetry.span(
-        "surrogate.dataset",
-        netlist=netlist.name,
-        samples=config.samples,
-        workers=workers,
+        "surrogate.dataset", netlist=netlist.name, samples=config.samples
     ):
         rows = [
-            row
-            for part, _wall in fork_map(
-                "surrogate", _label_chunk, state, chunks, workers
-            )
-            for row in part
+            _label_row(index, config, featurizer, oracle, base_sp)
+            for index in range(config.samples)
         ]
         telemetry.add("surrogate.dataset.rows", len(rows))
 

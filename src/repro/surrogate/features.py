@@ -1,25 +1,23 @@
-"""Feature extraction: (SP profile, corner, age) -> fixed-width vector.
+"""Feature extraction: (SP vector, corner, age) -> fixed-width vector.
 
-The vector concatenates the netlist-level SP summary
-(:meth:`repro.sim.probes.SPProfile.feature_vector` — global SP
+The vector concatenates a netlist-level SP summary (global SP
 statistics plus per-logic-depth aggregates), a one-hot over the corner
 catalogue with the corner's physical knobs (temperature, voltage
 scale, late derate), and a small basis over the device age (linear,
-the BTI 1/6 power law, log).  ``FEATURE_SCHEMA`` versions the layout:
-datasets and model snapshots both carry it, and training refuses to
-mix schemas.
+the BTI 1/6 power law, log).  ``FEATURE_SCHEMA`` versions the layout,
+and datasets carry it.
 
-:class:`FleetFeaturizer` is the triage hot path: it precomputes the
-name ordering and depth-bucket index arrays once per netlist, then
-featurizes raw numpy SP vectors without building per-device dicts —
-scoring a device costs microseconds, which is what makes clearing the
-cohort essentially free next to the exact pipeline.
+:class:`FleetFeaturizer` precomputes the name ordering and depth-bucket
+index arrays once per netlist, then featurizes raw numpy SP vectors
+without building per-device dicts — scoring a device costs
+microseconds, which is what makes clearing the cohort essentially free
+next to the exact pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -28,7 +26,8 @@ from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile, net_levels
 
 #: Version of the feature layout below.  Bump on any change to the
-#: ordering, widths, or transforms — mixed-schema training must fail.
+#: ordering, widths, or transforms: a cached dataset of another schema
+#: is refused.
 FEATURE_SCHEMA = 1
 
 #: Corner catalogue order for the one-hot block (sorted by name).
@@ -87,30 +86,14 @@ def age_features(age_years: float) -> List[float]:
     return [scaled, scaled ** (1.0 / 6.0), math.log1p(age_years)]
 
 
-def device_features(
-    profile: SPProfile,
-    netlist: Netlist,
-    corner_name: str,
-    age_years: float,
-    buckets: int = 8,
-) -> np.ndarray:
-    """Full feature vector for one (profile, corner, age) triple."""
-    return np.concatenate([
-        profile.feature_vector(netlist, buckets=buckets),
-        np.asarray(corner_features(corner_name), dtype=np.float64),
-        np.asarray(age_features(age_years), dtype=np.float64),
-    ])
-
-
 class FleetFeaturizer:
     """Vectorized featurizer over raw SP vectors (triage hot path).
 
     ``names`` fixes the net ordering (sorted); ``vector(sp)`` accepts a
-    float64 array in that order and produces *bit-identical* features
-    to :func:`device_features` on the equivalent ``SPProfile`` — every
-    reduction below reproduces the scalar path's summation order, so
-    cleared-cohort scoring never diverges from the dict-based
-    reference.
+    float64 array in that order.  Every reduction runs in name-sorted
+    order, so the features are bit-identical for any profile dict
+    order.  Empty depth buckets report the neutral (0.5, 0.5, 0.5), so
+    the width is fixed for any netlist.
     """
 
     def __init__(self, netlist: Netlist, buckets: int = 8):

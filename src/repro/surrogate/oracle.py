@@ -22,11 +22,11 @@ learn.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..aging.corners import OperatingCorner
 from ..core import telemetry
-from ..core.config import AgingAnalysisConfig, SurrogateConfig
+from ..core.config import SurrogateConfig
 from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile
 from ..sta.aging_sta import AgingAwareSta, censor_onset
@@ -41,30 +41,20 @@ class ExactAgingOracle:
     """
 
     def __init__(
-        self,
-        netlist: Netlist,
-        config: Optional[SurrogateConfig] = None,
-        aging_config: Optional[AgingAnalysisConfig] = None,
-        gated_instances: Optional[Mapping[str, float]] = None,
+        self, netlist: Netlist, config: Optional[SurrogateConfig] = None
     ):
         self.netlist = netlist
-        self.config = config or SurrogateConfig()
-        self.aging_config = aging_config or AgingAnalysisConfig()
-        self.age_grid: Tuple[float, ...] = tuple(self.config.age_grid)
+        self.age_grid: Tuple[float, ...] = tuple(
+            (config or SurrogateConfig()).age_grid
+        )
         self._sta: Dict[str, AgingAwareSta] = {}
-        self._gated = gated_instances
 
     # ------------------------------------------------------------------
     def sta_for(self, corner: OperatingCorner) -> AgingAwareSta:
         """The aging STA driver for one corner."""
         sta = self._sta.get(corner.name)
         if sta is None:
-            sta = AgingAwareSta(
-                self.netlist,
-                config=self.aging_config,
-                corner=corner,
-                gated_instances=self._gated,
-            )
+            sta = AgingAwareSta(self.netlist, corner=corner)
             self._sta[corner.name] = sta
         return sta
 

@@ -11,31 +11,27 @@ The triage contract:
   cohort* and never touch the exact pipeline; the rest are the
   *predicted-risky tail*.
 * The tail is re-verified **exactly**: :func:`profiled_fleet` runs the
-  per-device oracle (charlib + aging STA, linear onset scan) and
+  per-device oracle (charlib + aging STA, bisecting onset search) and
   builds real :class:`~repro.campaign.fleet.DeviceSpec`\\ s, which the
-  unmodified :class:`~repro.campaign.engine.CampaignEngine` executes.
-  Because a device's spec is a pure function of its index — the rng
-  draw order is fixed and the oracle consumes no randomness — the
-  tail's report rows are byte-identical to the rows an all-exact
-  campaign over the full fleet would produce.
+  unmodified :class:`~repro.campaign.engine.CampaignEngine` executes
+  as its ``fleet``.  Because a device's spec is a pure function of
+  its index — the rng draw order is fixed and the oracle consumes no
+  randomness — the tail's report rows are byte-identical to the rows
+  an all-exact campaign over the full fleet would produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..aging.corners import TYPICAL_CORNER, WORST_CORNER
-from ..campaign.engine import CampaignEngine
 from ..campaign.fleet import DeviceSpec, assign_model
-from ..campaign.report import CampaignReport
 from ..core import telemetry
-from ..core.artifacts import ArtifactCache
 from ..core.config import CampaignConfig, SurrogateConfig
 from ..core.rng import stream_rng, stream_seed
-from ..integration.library_gen import AgingLibrary
 from ..lifting.models import FailureModel
 from ..netlist.cells import CellLibrary
 from ..netlist.netlist import Netlist
@@ -147,16 +143,6 @@ class TriagedDevice:
     predicted_slack_ns: float
     flagged: bool
 
-    def as_row(self) -> Dict[str, Any]:
-        return {
-            "device": self.device_id,
-            "corner": self.corner,
-            "intensity": self.intensity,
-            "predicted_onset_years": self.predicted_onset_years,
-            "predicted_slack_ns": self.predicted_slack_ns,
-            "flagged": self.flagged,
-        }
-
 
 @dataclass
 class TriageOutcome:
@@ -167,25 +153,12 @@ class TriageOutcome:
     devices: List[TriagedDevice] = field(default_factory=list)
 
     @property
-    def flagged(self) -> List[TriagedDevice]:
-        return [d for d in self.devices if d.flagged]
-
-    @property
     def cleared(self) -> List[TriagedDevice]:
         return [d for d in self.devices if not d.flagged]
 
     @property
     def flagged_indices(self) -> List[int]:
         return [d.index for d in self.devices if d.flagged]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "threshold": self.threshold,
-            "mission_years": self.mission_years,
-            "cleared": len(self.cleared),
-            "flagged": len(self.flagged),
-            "devices": [d.as_row() for d in self.devices],
-        }
 
 
 def triage_fleet(
@@ -252,51 +225,3 @@ def triage_fleet(
         mission_years=config.mission_years,
         devices=devices,
     )
-
-
-def run_surrogate_campaign(
-    netlist: Netlist,
-    unit: str,
-    library: AgingLibrary,
-    cell_library: CellLibrary,
-    base_profile: SPProfile,
-    models: Sequence[FailureModel],
-    model: RidgeSurrogate,
-    config: Optional[CampaignConfig] = None,
-    surrogate: Optional[SurrogateConfig] = None,
-    cache: Optional[ArtifactCache] = None,
-    base_onset_years: Optional[float] = None,
-) -> Tuple[TriageOutcome, CampaignReport]:
-    """Surrogate-triage campaign: clear the cohort, re-verify the tail.
-
-    Only the predicted-risky tail pays for exact oracle analysis and
-    suite execution; the campaign engine then runs over exactly those
-    specs, so its report equals the corresponding slice of an
-    all-exact profiled campaign byte for byte.
-    """
-    config = config or CampaignConfig()
-    surrogate = surrogate or SurrogateConfig()
-    outcome = triage_fleet(
-        model, netlist, base_profile, config, surrogate
-    )
-    tail = profiled_fleet(
-        netlist,
-        cell_library,
-        base_profile,
-        models,
-        config,
-        surrogate,
-        indices=outcome.flagged_indices,
-    )
-    engine = CampaignEngine(
-        netlist,
-        unit,
-        library,
-        models,
-        config=config,
-        cache=cache,
-        base_onset_years=base_onset_years,
-        fleet=tail,
-    )
-    return outcome, engine.run()
-

@@ -2,21 +2,18 @@
 
 The surrogate's one unforgivable failure mode is clearing a device
 that would have violated in the field: a cleared device never reaches
-the exact pipeline again.  Validation therefore centres on *risky-tail
+the exact pipeline again.  Validation therefore measures *risky-tail
 recall* — the fraction of held-out devices with a true onset inside
 the risky horizon that the calibrated threshold would flag — and
 **fails closed**: :func:`validate_model` raises
 :class:`SurrogateValidationError` below the recall floor, so an
 under-trained model can never be handed to triage.
-
-Onset MAE and the slack rank correlation (Spearman via double argsort)
-are reported alongside as regression-quality diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -31,43 +28,14 @@ class ValidationReport:
 
     rows: int
     risky_rows: int
-    onset_mae_years: float
-    slack_spearman: float
     recall: float
-    flagged_fraction: float
     threshold: float
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "rows": self.rows,
-            "risky_rows": self.risky_rows,
-            "onset_mae_years": self.onset_mae_years,
-            "slack_spearman": self.slack_spearman,
-            "recall": self.recall,
-            "flagged_fraction": self.flagged_fraction,
-            "threshold": self.threshold,
-        }
 
 
 def _matrices(rows: Sequence[Dict[str, Any]]):
     X = np.asarray([row["features"] for row in rows], dtype=np.float64)
     onset = np.asarray([row["onset_years"] for row in rows], dtype=np.float64)
-    slack = np.asarray([row["slack_ns"] for row in rows], dtype=np.float64)
-    return X, onset, slack
-
-
-def spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation (double-argsort ranks)."""
-    if len(a) < 2:
-        return 1.0
-    rank_a = np.argsort(np.argsort(a)).astype(np.float64)
-    rank_b = np.argsort(np.argsort(b)).astype(np.float64)
-    da = rank_a - rank_a.mean()
-    db = rank_b - rank_b.mean()
-    denom = float(np.sqrt((da * da).sum() * (db * db).sum()))
-    if denom == 0.0:
-        return 1.0
-    return float((da * db).sum() / denom)
+    return X, onset
 
 
 def calibrate_threshold(
@@ -86,7 +54,7 @@ def calibrate_threshold(
     margin buys recall on unseen devices at the price of a slightly
     fatter flagged tail, which the exact pipeline re-verifies anyway.
     """
-    X, onset, _ = _matrices(train_rows)
+    X, onset = _matrices(train_rows)
     predicted = model.predict_onset(X)
     risky = predicted[onset <= risky_horizon]
     if len(risky) == 0:
@@ -127,9 +95,8 @@ def validate_model(
             "no held-out rows to validate on; increase the dataset "
             "size or the holdout fraction"
         )
-    X, onset, slack = _matrices(holdout_rows)
-    predicted = model.predict(X)
-    flagged = predicted[:, 0] <= threshold
+    X, onset = _matrices(holdout_rows)
+    flagged = model.predict_onset(X) <= threshold
     risky = onset <= risky_horizon
     recall = (
         float(flagged[risky].sum() / risky.sum()) if risky.any() else 1.0
@@ -137,10 +104,7 @@ def validate_model(
     report = ValidationReport(
         rows=len(holdout_rows),
         risky_rows=int(risky.sum()),
-        onset_mae_years=float(np.abs(predicted[:, 0] - onset).mean()),
-        slack_spearman=spearman(predicted[:, 1], slack),
         recall=recall,
-        flagged_fraction=float(flagged.mean()),
         threshold=float(threshold),
     )
     if recall < recall_floor:

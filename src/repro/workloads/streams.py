@@ -4,7 +4,7 @@ Aging Analysis (§3.2.1) simulates the netlist under representative
 workloads.  Here the workload runs once on the ISA simulator with
 operand logging enabled; the recorded per-operation input vectors are
 then replayed — bit-parallel — through the gate-level netlist by
-:func:`repro.sim.probes.profile_operand_stream`.
+:func:`repro.sim.parallel_profile.profile_workload_streams`.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ production layer and must give bit-identical results:
   behind the incremental engine;
 * :func:`profile_operand_stream_reference` — scalar one-operand-per-
   cycle-group SP profiling behind the packed profiler;
+* :func:`device_features` (with :func:`level_aggregates` and
+  :func:`sp_summary`) — the dict-path surrogate features behind the
+  vectorized :class:`FleetFeaturizer`;
 * :class:`DictBelief` — the per-device dict fold behind the arrays of
   :class:`FleetBelief`, with the scalar reads :func:`blended`,
   :func:`mean`, :func:`candidates` and :func:`device_done` over any
@@ -37,6 +40,8 @@ from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from unittest import mock
 
+import numpy as np
+
 from repro.campaign.engine import DeviceRunner
 from repro.campaign.fleet import DeviceSpec
 from repro.core import telemetry
@@ -54,9 +59,10 @@ from repro.netlist.netlist import Netlist
 from repro.scheduler.belief import ArmSpec, fleet_prior
 from repro.scheduler.policy import Dispatch, PlanRequest, Policy, Schedule
 from repro.sim.gatesim import GateSimulator
-from repro.sim.probes import SPCounter, SPProfile
+from repro.sim.probes import SPCounter, SPProfile, net_levels
 from repro.sta.aging_sta import AgingAwareSta
 from repro.sta.timing import DelayModel, StaticTimingAnalyzer
+from repro.surrogate.features import age_features, corner_features
 
 
 # -- STA ----------------------------------------------------------------
@@ -231,6 +237,88 @@ def profile_operand_stream_reference(
             sim.step(frame)
             counter.sample(sim)
     return counter.profile()
+
+
+# -- surrogate features ---------------------------------------------------
+def level_aggregates(
+    profile: SPProfile, netlist: Netlist, buckets: int = 8
+) -> List[Tuple[float, float, float]]:
+    """(mean, min, max) SP per logic-depth bucket, name-sorted.
+
+    Combinational nets fall into ``buckets`` equal-width bands of their
+    :func:`net_levels` depth; an empty bucket reports (0.5, 0.5, 0.5).
+    """
+    levels = net_levels(netlist)
+    max_level = max(levels.values(), default=0)
+    groups: List[List[float]] = [[] for _ in range(buckets)]
+    for name in sorted(levels):
+        sp = profile.sp.get(name)
+        if sp is None:
+            continue
+        bucket = min(
+            buckets - 1, (levels[name] - 1) * buckets // max(1, max_level)
+        )
+        groups[bucket].append(sp)
+    return [
+        (sum(values) / len(values), min(values), max(values))
+        if values
+        else (0.5, 0.5, 0.5)
+        for values in groups
+    ]
+
+
+def sp_summary(profile: SPProfile, netlist: Netlist, buckets: int = 8):
+    """The ``7 + 3 * buckets`` SP summary floats, from the profile dict.
+
+    Mean, population std, fractions at or below 0.1 and at or above
+    0.9, mean toggle proxy ``2 * sp * (1 - sp)``, DFF-output mean and
+    combinational mean, then the :func:`level_aggregates` triples; every
+    reduction runs in name-sorted order.
+    """
+    names = sorted(profile.sp)
+    values = [profile.sp[name] for name in names]
+    n = max(1, len(values))
+    mean = sum(values) / n
+    var = sum((v - mean) ** 2 for v in values) / n
+    low = sum(1 for v in values if v <= 0.1) / n
+    high = sum(1 for v in values if v >= 0.9) / n
+    toggle = sum(2.0 * v * (1.0 - v) for v in values) / n
+    dff_nets = sorted(
+        dff.output_net.name for dff in netlist.dffs()
+        if dff.output_net.name in profile.sp
+    )
+    dff_mean = (
+        sum(profile.sp[name] for name in dff_nets) / len(dff_nets)
+        if dff_nets else 0.5
+    )
+    comb = [
+        profile.sp[name]
+        for name in sorted(net_levels(netlist))
+        if name in profile.sp
+    ]
+    comb_mean = sum(comb) / len(comb) if comb else 0.5
+    head = [mean, var ** 0.5, low, high, toggle, dff_mean, comb_mean]
+    tail = [
+        value
+        for triple in level_aggregates(profile, netlist, buckets)
+        for value in triple
+    ]
+    return np.asarray(head + tail, dtype=np.float64)
+
+
+def device_features(
+    profile: SPProfile,
+    netlist: Netlist,
+    corner_name: str,
+    age_years: float,
+    buckets: int = 8,
+):
+    """Full surrogate feature vector for one (profile, corner, age)."""
+    return np.concatenate([
+        sp_summary(profile, netlist, buckets),
+        np.asarray(corner_features(corner_name), dtype=np.float64),
+        np.asarray(age_features(age_years), dtype=np.float64),
+    ])
 
 
 # -- scheduler ------------------------------------------------------------

@@ -279,11 +279,8 @@ class TestCountFlags:
             ["schedule", "--checkpoint-every", "0"],
             ["campaign", "run", "--devices", "0"],
             ["schedule", "--devices", "0"],
-            ["surrogate", "triage", "--devices", "0"],
             ["schedule", "--kill-after", "0"],
             ["respond", "--accuracy-samples", "0"],
-            ["surrogate", "train", "--samples", "0"],
-            ["surrogate", "validate", "--samples", "0"],
         ],
         ids=lambda argv: " ".join(argv[:-1]),
     )
@@ -511,27 +508,8 @@ class TestSchedulerCli:
         )
         assert code == 2
 
-    def test_surrogate_triage_missing_model_exits_2(self, capsys):
-        code, _ = _run(
-            ["surrogate", "triage", "--unit", "alu",
-             "--model", "/nonexistent/model.json"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "cannot load model" in err
-
-    def test_surrogate_validate_rejects_bad_snapshot(
-        self, tmp_path, capsys
-    ):
-        bad = tmp_path / "model.json"
-        bad.write_text('{"schema": 99}')
-        code, _ = _run(
-            ["surrogate", "validate", "--unit", "alu",
-             "--model", str(bad)]
-        )
-        assert code == 2
-        assert "schema" in capsys.readouterr().err
-
-    def test_surrogate_requires_subcommand(self):
-        with pytest.raises(SystemExit):
+    def test_surrogate_is_an_unknown_verb(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["surrogate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'surrogate'" in capsys.readouterr().err

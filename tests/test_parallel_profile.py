@@ -17,14 +17,15 @@ from repro.core.config import AgingAnalysisConfig, VegaConfig
 from repro.core.example import build_paper_adder
 from repro.core.pool import fork_available
 from repro.core.workflow import VegaWorkflow
-from repro.sim.parallel_profile import (
-    plan_chunks,
-    profile_operand_stream_parallel,
-    profile_workload_streams,
-)
-from repro.sim.probes import SPProfile, profile_operand_stream
+from repro.sim.parallel_profile import plan_chunks, profile_workload_streams
+from repro.sim.probes import SPProfile
 
 from oracles import profile_operand_stream_reference
+
+
+def _profile(netlist, ops, **kwargs):
+    """One workload's profile through the one SP profiler."""
+    return profile_workload_streams(netlist, {"w": ops}, **kwargs)
 
 
 def _stream(seed, count=40):
@@ -62,10 +63,8 @@ class TestBitIdenticalProfiles:
 
     def test_chunked_serial_equals_monolithic(self, adder):
         ops = _stream(1, 100)
-        mono = profile_operand_stream(adder, ops, lanes=8)
-        chunked = profile_operand_stream_parallel(
-            adder, ops, lanes=8, workers=1, chunk_batches=1
-        )
+        mono = profile_operand_stream_reference(adder, ops)
+        chunked = _profile(adder, ops, lanes=8, workers=1, chunk_batches=1)
         assert chunked.sp == mono.sp
         assert chunked.samples == mono.samples
         assert chunked.ones == mono.ones
@@ -75,10 +74,8 @@ class TestBitIdenticalProfiles:
         if not fork_available():
             pytest.skip("no fork start method on this platform")
         ops = _stream(2, 120)
-        serial = profile_operand_stream_parallel(
-            adder, ops, lanes=8, workers=1, chunk_batches=2
-        )
-        parallel = profile_operand_stream_parallel(
+        serial = _profile(adder, ops, lanes=8, workers=1, chunk_batches=2)
+        parallel = _profile(
             adder, ops, lanes=8, workers=workers, chunk_batches=2
         )
         assert parallel.sp == serial.sp
@@ -87,7 +84,7 @@ class TestBitIdenticalProfiles:
 
     def test_scalar_reference_equals_packed(self, adder):
         ops = _stream(3, 30)
-        packed = profile_operand_stream(adder, ops, lanes=8)
+        packed = _profile(adder, ops, lanes=8)
         reference = profile_operand_stream_reference(adder, ops)
         assert reference.sp == packed.sp
         assert reference.samples == packed.samples
@@ -96,9 +93,7 @@ class TestBitIdenticalProfiles:
         """Sharding across named workloads == one concatenated stream,
         as long as the split lands on a chunk boundary."""
         a, b = _stream(4, 32), _stream(5, 48)
-        joint = profile_operand_stream_parallel(
-            adder, a + b, lanes=8, chunk_batches=4
-        )
+        joint = _profile(adder, a + b, lanes=8, chunk_batches=4)
         split = profile_workload_streams(
             adder, {"first": a, "second": b}, lanes=8, chunk_batches=4
         )
@@ -128,7 +123,7 @@ class TestSPProfileMerge:
     def test_merge_with_counts_is_exact_and_associative(self, adder):
         ops = _stream(6, 96)
         parts = [
-            profile_operand_stream(adder, ops[i : i + 32], lanes=8)
+            _profile(adder, ops[i : i + 32], lanes=8)
             for i in (0, 32, 64)
         ]
         a, b, c = parts
@@ -138,7 +133,7 @@ class TestSPProfileMerge:
         assert left.ones == right.ones
         assert left.samples == right.samples == 96 * 3  # 1 + 2 drain
         # ...and both equal the unsharded run.
-        whole = profile_operand_stream(adder, ops, lanes=8)
+        whole = _profile(adder, ops, lanes=8)
         assert left.sp == whole.sp
 
     def test_merge_rejects_different_netlists(self):
@@ -146,7 +141,7 @@ class TestSPProfileMerge:
             SPProfile("x", {}, 1).merge(SPProfile("y", {}, 1))
 
     def test_json_round_trip_preserves_samples_and_counts(self, adder):
-        profile = profile_operand_stream(adder, _stream(7, 24), lanes=8)
+        profile = _profile(adder, _stream(7, 24), lanes=8)
         restored = SPProfile.from_json(profile.to_json())
         assert restored.netlist_name == profile.netlist_name
         assert restored.samples == profile.samples
@@ -198,7 +193,7 @@ class TestArtifactCache:
 
     def test_store_load_round_trip(self, tmp_path, adder):
         cache = ArtifactCache(tmp_path)
-        profile = profile_operand_stream(adder, _stream(9, 16), lanes=8)
+        profile = _profile(adder, _stream(9, 16), lanes=8)
         key = ArtifactCache.digest("sp-profile", "k")
         cache.store_profile(key, profile)
         loaded = cache.load_profile(key)

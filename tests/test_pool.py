@@ -1,7 +1,7 @@
 """Tests for the shared fork fan-out (``repro.core.pool``).
 
 ``fork_map`` is the one process pool behind SP profiling, Error
-Lifting, campaign shards and surrogate labeling.  These tests pin its
+Lifting and campaign shards.  These tests pin its
 contract (order, worker resolution, in-process fallback, counter
 merge, task errors) and that every caller's work counters are the same
 at one and at three workers.

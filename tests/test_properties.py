@@ -264,7 +264,7 @@ class TestParallelProfileEquivalence:
     @settings(max_examples=8, deadline=None)
     def test_worker_count_invariance(self, seed, workers):
         from repro.core.pool import fork_available
-        from repro.sim.parallel_profile import profile_operand_stream_parallel
+        from repro.sim.parallel_profile import profile_workload_streams
 
         rng = random.Random(seed)
         netlist = _random_netlist(rng, n_inputs=3, n_gates=10, n_dffs=2)
@@ -272,12 +272,12 @@ class TestParallelProfileEquivalence:
             {f"i{k}": rng.getrandbits(1) for k in range(3)}
             for _ in range(rng.randrange(20, 60))
         ]
-        serial = profile_operand_stream_parallel(
-            netlist, ops, lanes=8, workers=1, chunk_batches=1
+        serial = profile_workload_streams(
+            netlist, {"w": ops}, lanes=8, workers=1, chunk_batches=1
         )
         width = workers if fork_available() else 1
-        sharded = profile_operand_stream_parallel(
-            netlist, ops, lanes=8, workers=width, chunk_batches=1
+        sharded = profile_workload_streams(
+            netlist, {"w": ops}, lanes=8, workers=width, chunk_batches=1
         )
         assert sharded.sp == serial.sp
         assert sharded.ones == serial.ones

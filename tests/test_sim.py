@@ -14,7 +14,8 @@ from repro.sim.gatesim import (
     pack_vectors,
     unpack_vectors,
 )
-from repro.sim.probes import SPCounter, SPProfile, profile_operand_stream, profile_stimulus
+from repro.sim.parallel_profile import profile_workload_streams
+from repro.sim.probes import SPCounter, SPProfile, profile_stimulus
 from repro.sim.vcd import VcdWriter
 
 
@@ -175,13 +176,15 @@ class TestSPProfiling:
 
     def test_operand_stream_profile(self, paper_adder):
         ops = [{"a": a & 3, "b": (a >> 2) & 3} for a in range(64)]
-        profile = profile_operand_stream(paper_adder, ops, lanes=16)
+        profile = profile_workload_streams(paper_adder, {"w": ops}, lanes=16)
         assert profile.samples == 4 * 3 * 16  # 4 batches x 3 cycles x 16 lanes
         assert all(0.0 <= v <= 1.0 for v in profile.sp.values())
 
     def test_packed_counts_match_scalar_counts(self, paper_adder):
         ops = [{"a": i % 4, "b": (i * 7) % 4} for i in range(32)]
-        packed = profile_operand_stream(paper_adder, ops, lanes=32, drain_cycles=0)
+        packed = profile_workload_streams(
+            paper_adder, {"w": ops}, lanes=32, drain_cycles=0
+        )
         sim = GateSimulator(paper_adder)
         counter = SPCounter(paper_adder)
         sim.reset()

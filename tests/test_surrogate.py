@@ -1,22 +1,22 @@
 """The aging surrogate: features, dataset determinism, model, triage.
 
-Covers the `repro.surrogate` package plus its integration points:
+Covers what the repository benchmark's alu-fleet stage runs of
+`repro.surrogate`, composed the way that stage composes it:
 
-* pinned exact values of `SPProfile.feature_vector` on the paper's
-  example adder (the dict path) and bit-identity of the vectorized
-  `FleetFeaturizer` hot path against it;
-* byte-identical dataset generation across worker counts and process
-  restarts (including a hypothesis property over seeds/sizes);
-* ridge snapshot round trips, digest stability, and the fail-closed
-  validation gate;
+* pinned exact values of the dict-path SP summary
+  (`tests/oracles.sp_summary`) on the paper's example adder and
+  bit-identity of the vectorized `FleetFeaturizer` against it;
+* byte-identical dataset generation across process restarts and
+  sample counts;
+* reproducible training and the fail-closed validation gate;
 * triage: exact device specs are a pure function of their index, so
-  the re-verified tail's campaign report rows equal the corresponding
-  rows of an all-exact campaign byte for byte.
+  the re-verified tail's campaign report rows (`triage_fleet` +
+  `profiled_fleet` + `CampaignEngine(fleet=...)`) equal the
+  corresponding rows of an all-exact campaign byte for byte.
 """
 
 import dataclasses
 import json
-import re
 import subprocess
 import sys
 
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.aging.corners import WORST_CORNER
 from repro.campaign import CampaignEngine
-from repro.core import telemetry
 from repro.core.config import (
     CampaignConfig,
     ErrorLiftingConfig,
@@ -45,30 +44,41 @@ from repro.netlist.cells import make_vega28_library
 from repro.sim.probes import SPProfile, net_levels
 from repro.sta.timing import TimingViolation
 from repro.surrogate import (
-    FleetFeaturizer,
-    RidgeSurrogate,
-    SurrogateDataset,
     SurrogateValidationError,
-    device_features,
-    device_sp_vector,
     generate_dataset,
     profiled_fleet,
-    run_surrogate_campaign,
     train_surrogate,
     triage_fleet,
-    validate_model,
 )
-from repro.surrogate.dataset import sample_draws
+from repro.surrogate.dataset import (
+    SurrogateDataset,
+    device_sp_vector,
+    sample_draws,
+)
+from repro.surrogate.features import FleetFeaturizer
+from repro.surrogate.model import RidgeSurrogate
 from repro.surrogate.oracle import ExactAgingOracle
+from repro.surrogate.validate import validate_model
+
+from oracles import device_features, level_aggregates, sp_summary
 
 #: Short age grid keeping the exact oracle cheap in unit tests; the
-#: full 31-point grid is exercised by the CLI smoke and the benchmark.
+#: full 31-point grid is exercised by the repository benchmark.
 FAST = SurrogateConfig(
     samples=16,
     seed=7,
     age_grid=(2.0, 5.0, 8.0, 11.0, 14.0),
-    workers=1,
 )
+
+
+def _model_bytes(model: RidgeSurrogate) -> bytes:
+    """Every fitted coefficient and the calibration, as raw bytes."""
+    return b"".join([
+        model.mean.tobytes(),
+        model.scale.tobytes(),
+        model.weights.tobytes(),
+        json.dumps(model.calibration, sort_keys=True).encode(),
+    ])
 
 
 def ramp_profile(netlist) -> SPProfile:
@@ -92,7 +102,7 @@ class TestFeatureVector:
 
     def test_feature_vector_pinned_values(self, paper_adder):
         profile = ramp_profile(paper_adder)
-        vector = profile.feature_vector(paper_adder, buckets=4)
+        vector = sp_summary(profile, paper_adder, buckets=4)
         assert vector.tolist() == [
             0.5,                    # sp_mean over the 14-net ramp
             0.26874189541135135,    # sp_std
@@ -109,7 +119,7 @@ class TestFeatureVector:
 
     def test_level_aggregates_pinned(self, paper_adder):
         profile = ramp_profile(paper_adder)
-        assert profile.level_aggregates(paper_adder, buckets=4) == [
+        assert level_aggregates(profile, paper_adder, buckets=4) == [
             (0.7777776666666666, 0.6, 0.933333),
             (0.5, 0.5, 0.5),
             (0.866667, 0.866667, 0.866667),
@@ -124,8 +134,17 @@ class TestFeatureVector:
             samples=profile.samples,
         )
         assert np.array_equal(
-            profile.feature_vector(paper_adder),
-            reversed_profile.feature_vector(paper_adder),
+            sp_summary(profile, paper_adder),
+            sp_summary(reversed_profile, paper_adder),
+        )
+        featurizer = FleetFeaturizer(paper_adder)
+        assert np.array_equal(
+            featurizer.vector(
+                featurizer.base_vector(profile), "tt_0.90v_25c", 5.0
+            ),
+            featurizer.vector(
+                featurizer.base_vector(reversed_profile), "tt_0.90v_25c", 5.0
+            ),
         )
 
     def test_featurizer_matches_dict_path_bitwise(self, paper_adder):
@@ -153,32 +172,6 @@ class TestDatasetDeterminism:
             paper_adder, paper_lib, ramp_profile(paper_adder), config
         )
 
-    def test_worker_counts_yield_identical_bytes(
-        self, paper_adder, paper_lib
-    ):
-        counters = []
-        datasets = []
-        for workers in (1, 3):
-            tele = telemetry.Telemetry(run_id=f"workers-{workers}")
-            with telemetry.use(tele):
-                datasets.append(
-                    self._generate(paper_adder, paper_lib, workers=workers)
-                )
-            # Work counters only: wall-time counters end in ``_s``.
-            counters.append(
-                {
-                    name: value
-                    for name, value in tele.counters.items()
-                    if not re.search(r"_s(\.|$)", name)
-                }
-            )
-        serial, forked = datasets
-        assert serial.to_json() == forked.to_json()
-        assert serial.digest() == forked.digest()
-        # Fork workers send their counter deltas back to the parent.
-        assert counters[0] == counters[1]
-        assert counters[0]["surrogate.oracle.probes"] > 0
-
     def test_restart_yields_identical_digest(
         self, paper_adder, paper_lib, tmp_path
     ):
@@ -196,16 +189,16 @@ class TestDatasetDeterminism:
             "      for i, name in enumerate(names)}\n"
             "profile = SPProfile(netlist_name=adder.name, sp=sp, samples=4)\n"
             "config = SurrogateConfig(samples=16, seed=7,\n"
-            "    age_grid=(2.0, 5.0, 8.0, 11.0, 14.0), workers=2)\n"
+            "    age_grid=(2.0, 5.0, 8.0, 11.0, 14.0))\n"
             "ds = generate_dataset(adder, make_paper_library(), profile, "
             "config)\n"
-            "sys.stdout.write(ds.digest())\n"
+            "sys.stdout.write(ds.to_json())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, check=True,
         )
-        assert proc.stdout.strip() == here.digest()
+        assert proc.stdout == here.to_json()
 
     def test_cache_round_trip_is_byte_identical(
         self, paper_adder, paper_lib, tmp_path
@@ -251,25 +244,6 @@ class TestDatasetDeterminism:
         assert sorted(indices) == list(range(len(dataset.rows)))
         assert len(holdout) == round(0.25 * len(dataset.rows))
 
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 100), samples=st.integers(1, 4))
-    def test_property_worker_count_never_changes_bytes(
-        self, seed, samples
-    ):
-        from repro.core.example import build_paper_adder, make_paper_library
-
-        adder = build_paper_adder()
-        library = make_paper_library()
-        config = dataclasses.replace(FAST, seed=seed, samples=samples)
-        serial = generate_dataset(
-            adder, library, ramp_profile(adder), config
-        )
-        forked = generate_dataset(
-            adder, library, ramp_profile(adder),
-            dataclasses.replace(config, workers=2),
-        )
-        assert serial.to_json() == forked.to_json()
-
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), index=st.integers(0, 500))
     def test_property_device_draws_pure_function_of_index(
@@ -299,21 +273,12 @@ def adder_dataset():
 
 
 class TestRidgeSurrogate:
-    def test_snapshot_round_trip_is_bit_exact(self, adder_dataset):
-        model, _ = train_surrogate(
-            adder_dataset, dataclasses.replace(FAST, samples=32)
-        )
-        clone = RidgeSurrogate.from_json(model.to_json())
-        assert clone.to_json() == model.to_json()
-        assert clone.digest() == model.digest()
-        X, _ = adder_dataset.matrices()
-        assert np.array_equal(clone.predict(X), model.predict(X))
-
     def test_training_is_reproducible(self, adder_dataset):
         config = dataclasses.replace(FAST, samples=32)
-        first, _ = train_surrogate(adder_dataset, config)
-        second, _ = train_surrogate(adder_dataset, config)
-        assert first.digest() == second.digest()
+        first, first_report = train_surrogate(adder_dataset, config)
+        second, second_report = train_surrogate(adder_dataset, config)
+        assert _model_bytes(first) == _model_bytes(second)
+        assert first_report == second_report
 
     def test_calibration_present_after_training(self, adder_dataset):
         model, report = train_surrogate(
@@ -322,15 +287,6 @@ class TestRidgeSurrogate:
         assert model.threshold is not None
         assert report.recall >= 0.95
         assert model.calibration["recall_floor"] == 0.95
-
-    def test_schema_mismatch_raises(self, adder_dataset):
-        model, _ = train_surrogate(
-            adder_dataset, dataclasses.replace(FAST, samples=32)
-        )
-        doc = json.loads(model.to_json())
-        doc["schema"] = 99
-        with pytest.raises(ValueError, match="schema"):
-            RidgeSurrogate.from_json(json.dumps(doc))
 
     def test_validation_fails_closed_on_bad_recall(self, adder_dataset):
         model, _ = train_surrogate(
@@ -344,7 +300,7 @@ class TestRidgeSurrogate:
 
     def test_validation_refuses_uncalibrated_model(self, adder_dataset):
         X, y = adder_dataset.matrices()
-        model = RidgeSurrogate.fit(X, y, adder_dataset.feature_names)
+        model = RidgeSurrogate.fit(X, y)
         with pytest.raises(SurrogateValidationError, match="calibrat"):
             validate_model(model, adder_dataset.rows)
 
@@ -396,10 +352,10 @@ def alu_surrogate(alu_netlist):
         config,
     )
     X, y = dataset.matrices()
-    model = RidgeSurrogate.fit(X, y, dataset.feature_names)
+    model = RidgeSurrogate.fit(X, y)
     # Pin the threshold rather than calibrating: triage mechanics are
-    # under test here, not model quality (the CLI smoke and the
-    # benchmark cover the calibrated path end to end).
+    # under test here, not model quality (the repository benchmark
+    # covers the calibrated path end to end).
     model.calibration = {"threshold": 12.0, "risky_horizon": 10.0,
                          "recall_floor": 0.95, "margin": 0.25}
     return model
@@ -407,8 +363,9 @@ def alu_surrogate(alu_netlist):
 
 class TestTriage:
     def test_uncalibrated_model_refused(self, alu_netlist, alu_surrogate):
-        bare = RidgeSurrogate.from_json(alu_surrogate.to_json())
-        bare.calibration = {}
+        bare = RidgeSurrogate(
+            alu_surrogate.mean, alu_surrogate.scale, alu_surrogate.weights
+        )
         with pytest.raises(ValueError, match="threshold"):
             triage_fleet(
                 bare, alu_netlist, ramp_profile(alu_netlist),
@@ -428,18 +385,35 @@ class TestTriage:
         )
         assert subset == [full[i] for i in subset_indices]
 
+    def _tail_report(
+        self, netlist, vega_library, surrogate_model, library, profile
+    ):
+        """The triaged tail's campaign, composed as the benchmark does."""
+        outcome = triage_fleet(
+            surrogate_model, netlist, profile, TRIAGE_CONFIG, FAST
+        )
+        tail = profiled_fleet(
+            netlist, library, profile, MODELS, TRIAGE_CONFIG, FAST,
+            indices=outcome.flagged_indices,
+        )
+        report = CampaignEngine(
+            netlist, "alu", vega_library, MODELS,
+            config=TRIAGE_CONFIG,
+            base_onset_years=TRIAGE_CONFIG.base_onset_years,
+            fleet=tail,
+        ).run()
+        return outcome, report
+
     def test_tail_report_rows_byte_identical_to_exact(
         self, alu_netlist, vega_library, alu_surrogate
     ):
         library = make_vega28_library()
         profile = ramp_profile(alu_netlist)
-        outcome, tail_report = run_surrogate_campaign(
-            alu_netlist, "alu", vega_library, library, profile,
-            MODELS, alu_surrogate,
-            config=TRIAGE_CONFIG, surrogate=FAST,
-            base_onset_years=TRIAGE_CONFIG.base_onset_years,
+        outcome, tail_report = self._tail_report(
+            alu_netlist, vega_library, alu_surrogate, library, profile
         )
-        assert 0 < len(outcome.flagged) < TRIAGE_CONFIG.devices, (
+        flagged = outcome.flagged_indices
+        assert 0 < len(flagged) < TRIAGE_CONFIG.devices, (
             "triage split degenerated; the byte-identity check below "
             "would be vacuous"
         )
@@ -452,7 +426,7 @@ class TestTriage:
             base_onset_years=TRIAGE_CONFIG.base_onset_years,
             fleet=exact_fleet,
         ).run()
-        flagged_ids = {d.device_id for d in outcome.flagged}
+        flagged_ids = {f"dev-{index:04d}" for index in flagged}
         exact_rows = [
             row for row in exact_report.device_rows
             if row["device"] in flagged_ids
@@ -462,11 +436,8 @@ class TestTriage:
             == json.dumps(tail_report.device_rows, sort_keys=True)
         )
         # And the whole tail report reproduces byte for byte.
-        _, again = run_surrogate_campaign(
-            alu_netlist, "alu", vega_library, library, profile,
-            MODELS, alu_surrogate,
-            config=TRIAGE_CONFIG, surrogate=FAST,
-            base_onset_years=TRIAGE_CONFIG.base_onset_years,
+        _, again = self._tail_report(
+            alu_netlist, vega_library, alu_surrogate, library, profile
         )
         assert again.to_json() == tail_report.to_json()
 
@@ -476,13 +447,15 @@ class TestTriage:
             TRIAGE_CONFIG, FAST,
         )
         assert len(outcome.devices) == TRIAGE_CONFIG.devices
-        assert len(outcome.cleared) + len(outcome.flagged) == 8
-        data = outcome.as_dict()
-        assert data["cleared"] == len(outcome.cleared)
+        assert [d.index for d in outcome.devices] == list(range(8))
+        assert len(outcome.cleared) + len(outcome.flagged_indices) == 8
         assert all(
             d.flagged == (d.predicted_onset_years <= outcome.threshold)
             for d in outcome.devices
         )
+        assert outcome.flagged_indices == [
+            d.index for d in outcome.devices if d.flagged
+        ]
 
 
 # ---------------------------------------------------------------------
