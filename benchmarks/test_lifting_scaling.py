@@ -12,12 +12,11 @@ workers (one per CPU) with deterministic result ordering.
 The seed engine is the ``fresh_bmc`` oracle of ``tests/oracles.py``.
 This benchmark runs the ALU workflow's lifting phase under all three
 engines on a hard configuration (mitigation variants, deep bound),
-checks the reports are identical, and records the wall-time/conflict
-table.  Acceptance: parallel + incremental is at least 2x faster than
-the seed-style serial engine.
+checks the reports are identical, and records the pair/conflict table.
+Acceptance: parallel + incremental is at least 2x faster than the
+seed-style serial engine.
 """
 
-import os
 import time
 from contextlib import nullcontext
 
@@ -91,11 +90,12 @@ def test_lifting_engine_scaling(ctx, benchmark, recorder):
     def conflicts(report):
         return sum(v.conflicts for p in report.pairs for v in p.variants)
 
+    # The table holds only deterministic columns, so a full-scale run
+    # reproduces it byte for byte; wall times and the speedup are
+    # timing samples in BENCH_lifting_scaling.json.
     rows = [
-        f"ALU workflow: {len(serial_report.pairs)} endpoint pairs, "
-        f"mitigation on, depth {BMC_DEPTH}, {os.cpu_count()} CPU(s), "
-        f"best of {REPEATS}",
-        "engine               | wall (s) | conflicts | speedup",
+        f"ALU workflow: mitigation on, depth {BMC_DEPTH}",
+        "engine               | endpoint pairs | conflicts",
     ]
     for label, wall, report in (
         ("seed serial (fresh)", serial_time, serial_report),
@@ -103,8 +103,8 @@ def test_lifting_engine_scaling(ctx, benchmark, recorder):
         ("parallel+incremental", par_time, par_report),
     ):
         rows.append(
-            f"{label:20s} | {wall:8.3f} | {conflicts(report):9d} | "
-            f"{serial_time / wall:6.2f}x"
+            f"{label:20s} | {len(report.pairs):14d} | "
+            f"{conflicts(report):9d}"
         )
         engine = label.replace(" ", "_").replace("(", "").replace(")", "")
         recorder.sample(

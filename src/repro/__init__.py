@@ -12,9 +12,13 @@ Quickstart::
 
     from repro import VegaWorkflow, VegaConfig
     from repro.cpu.alu_design import build_alu
+    from repro.cpu.mappers import AluMapper
+    from repro.workloads import collect_unit_streams
 
+    stream = collect_unit_streams(["minver"])["alu"]
     workflow = VegaWorkflow(VegaConfig())
-    report = workflow.run(build_alu())
+    report = workflow.run(build_alu(), stream, AluMapper())
+    print(report.summary())
 """
 
 from .core.config import VegaConfig

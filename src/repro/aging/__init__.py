@@ -1,4 +1,4 @@
-"""Transistor-aging models: BTI/HCI physics, timing-library characterization."""
+"""Transistor-aging models: BTI physics, timing-library characterization."""
 
 from .bti import (
     BOLTZMANN_EV,
@@ -12,21 +12,6 @@ from .bti import (
 )
 from .charlib import AgingTimingLibrary, CellAgingTable, degradation_curve
 from .corners import OperatingCorner, TYPICAL_CORNER, WORST_CORNER
-from .hci import (
-    DEFAULT_HCI,
-    HciParameters,
-    cell_delta_vth_hci,
-    delta_vth_hci,
-    transition_density,
-)
-from .em import (
-    DEFAULT_EM,
-    EmParameters,
-    EmReport,
-    IrDropReport,
-    electromigration_analysis,
-    ir_drop_analysis,
-)
 
 __all__ = [
     "BOLTZMANN_EV",
@@ -43,15 +28,4 @@ __all__ = [
     "OperatingCorner",
     "TYPICAL_CORNER",
     "WORST_CORNER",
-    "DEFAULT_HCI",
-    "HciParameters",
-    "cell_delta_vth_hci",
-    "delta_vth_hci",
-    "transition_density",
-    "DEFAULT_EM",
-    "EmParameters",
-    "EmReport",
-    "IrDropReport",
-    "electromigration_analysis",
-    "ir_drop_analysis",
 ]

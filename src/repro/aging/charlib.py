@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..netlist.cells import CellLibrary, CellType
 from .bti import BtiParameters, DEFAULT_BTI, cell_delta_vth, delay_factor
-from .hci import HciParameters, cell_delta_vth_hci
 
 _DEFAULT_SP_GRID = tuple(i / 20.0 for i in range(21))
 
@@ -76,8 +75,6 @@ class AgingTimingLibrary:
         temperature_c: float = 105.0,
         sp_grid: Sequence[float] = _DEFAULT_SP_GRID,
         params: BtiParameters = DEFAULT_BTI,
-        hci: Optional[HciParameters] = None,
-        hci_activity_scale: float = 1.0,
     ) -> "AgingTimingLibrary":
         """Run the per-cell characterization over the SP grid.
 
@@ -85,13 +82,6 @@ class AgingTimingLibrary:
         alpha-power pipeline replaces transistor-level simulation while
         keeping the same inputs (cell, SP, lifetime, temperature) and
         the same output (a delay-degradation table).
-
-        ``hci`` adds a hot-carrier dVth contribution on top of BTI
-        (additive in threshold shift, as the two damage sites are
-        independent); ``None`` — the default — keeps every factor
-        byte-identical to the BTI-only characterization.
-        ``hci_activity_scale`` is the operating corner's
-        ``hci_stress_scale``.
         """
         out = cls(
             library_name=library.name,
@@ -109,14 +99,6 @@ class AgingTimingLibrary:
                     stress_state=cell.stress_state,
                     params=params,
                 )
-                if hci is not None:
-                    dvth += cell_delta_vth_hci(
-                        sp,
-                        lifetime_years,
-                        temperature_c,
-                        params=hci,
-                        activity_scale=hci_activity_scale,
-                    )
                 factors.append(
                     delay_factor(dvth, library.vdd, library.vth0, library.alpha)
                 )

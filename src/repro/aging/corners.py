@@ -25,12 +25,6 @@ class OperatingCorner:
             delays (pessimistic for setup checks).
         early_derate: OCV multiplier applied to *min* path delays
             (pessimistic for hold checks).
-        hci_stress_scale: Multiplier on the hot-carrier transition
-            stress at this corner (:mod:`repro.aging.hci`) — hot,
-            undervolted parts inject more energetic carriers per
-            toggle.  1.0 keeps HCI corner-neutral; the field defaults
-            so delay models cached before HCI existed round-trip
-            unchanged.
     """
 
     name: str
@@ -38,7 +32,6 @@ class OperatingCorner:
     voltage_scale: float
     late_derate: float
     early_derate: float
-    hci_stress_scale: float = 1.0
 
     def scale_max_delay(self, delay: float) -> float:
         """Worst-case (late) view of a max delay at this corner."""
@@ -56,7 +49,6 @@ WORST_CORNER = OperatingCorner(
     voltage_scale=0.95,
     late_derate=1.05,
     early_derate=0.95,
-    hci_stress_scale=1.15,
 )
 
 #: Typical corner, for comparison/ablation runs.
@@ -66,5 +58,4 @@ TYPICAL_CORNER = OperatingCorner(
     voltage_scale=1.0,
     late_derate=1.0,
     early_derate=1.0,
-    hci_stress_scale=0.9,
 )

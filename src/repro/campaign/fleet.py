@@ -52,9 +52,6 @@ class DeviceSpec:
             for a healthy device.
         backend_seed: Seed for the device's co-simulation backend RNG
             (drives the per-cycle C of ``CMode.RANDOM`` models).
-        mechanism: Dominant wearout mechanism behind the device's onset
-            draw — ``"bti"`` (default) or ``"hci"`` when the campaign's
-            ``hci_fraction`` mechanism draw selects hot-carrier aging.
     """
 
     index: int
@@ -64,7 +61,6 @@ class DeviceSpec:
     faulty: bool
     model: Optional[FailureModel]
     backend_seed: int
-    mechanism: str = "bti"
 
     @property
     def c_mode(self) -> Optional[str]:
@@ -117,13 +113,6 @@ def sample_fleet(
     sequence).  A device is *faulty* when its onset draw lands inside
     ``config.mission_years``; it is then assigned one model from the
     catalogue.  An empty catalogue yields an all-healthy fleet.
-
-    The wearout-mechanism draw consumes its own ``campaign.mechanism``
-    stream and only when ``config.hci_fraction > 0``, so default
-    campaigns remain byte-identical to pre-HCI ones.  HCI-dominated
-    devices' onsets scale by ``hci_onset_scale`` divided by the
-    corner's ``hci_stress_scale`` (hotter corners toggle into wearout
-    faster).
     """
     models = list(failing_models)
     fleet: List[DeviceSpec] = []
@@ -139,14 +128,6 @@ def sample_fleet(
             * rng.lognormvariate(0.0, config.onset_sigma)
             / _corner_acceleration(corner)
         )
-        mechanism = "bti"
-        if config.hci_fraction > 0.0:
-            mech_rng = random.Random(
-                stream_seed("campaign.mechanism", config.seed, index)
-            )
-            if mech_rng.random() < config.hci_fraction:
-                mechanism = "hci"
-                onset *= config.hci_onset_scale / corner.hci_stress_scale
         faulty, model = assign_model(
             rng, models, onset, config.mission_years
         )
@@ -162,7 +143,6 @@ def sample_fleet(
                     "campaign.backend", config.seed, index
                 )
                 & 0xFFFFFFFF,
-                mechanism=mechanism,
             )
         )
     return fleet

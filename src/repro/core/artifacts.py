@@ -26,7 +26,7 @@ import hashlib
 import json
 import pathlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import telemetry
@@ -207,7 +207,13 @@ class ArtifactCache:
         self.store("sp-profile", key, profile.to_json())
 
     def load_delay_model(self, key: str):
-        """Cached (DelayModel, delay_increase) or None."""
+        """Cached (DelayModel, delay_increase) or None.
+
+        An entry whose stored corner does not carry exactly
+        :class:`OperatingCorner`'s fields was written by an older
+        corner layout; it counts as a miss, so the caller recomputes
+        and re-stores it.
+        """
         from ..aging.corners import OperatingCorner
         from ..sta.timing import DelayModel
 
@@ -215,6 +221,10 @@ class ArtifactCache:
         if text is None:
             return None
         data = json.loads(text)
+        if set(data["corner"]) != {f.name for f in fields(OperatingCorner)}:
+            self.hits -= 1
+            self.misses += 1
+            return None
         model = DelayModel(
             delays={
                 name: (pair[0], pair[1])

@@ -176,17 +176,6 @@ class CampaignConfig:
     silifuzz_snapshots: int = 6
     max_suite_instructions: int = 500_000
     pack_width: int = 64
-    #: Fraction of the fleet whose dominant wearout mechanism is
-    #: hot-carrier injection (:mod:`repro.aging.hci`) instead of BTI.
-    #: The mechanism draw uses its own ``campaign.mechanism`` RNG
-    #: stream, gated behind ``hci_fraction > 0`` so the default fleet
-    #: is byte-identical to pre-HCI campaigns.
-    hci_fraction: float = 0.0
-    #: Onset multiplier applied to HCI-dominated devices (activity-heavy
-    #: workloads push HCI victims to violate earlier than the unit's
-    #: BTI-derived base onset), further scaled by the corner's
-    #: ``hci_stress_scale``.
-    hci_onset_scale: float = 0.75
 
     def __post_init__(self) -> None:
         if self.pack_width < 1:
@@ -378,7 +367,4 @@ class VegaConfig:
     integration: TestIntegrationConfig = field(
         default_factory=TestIntegrationConfig
     )
-    campaign: CampaignConfig = field(default_factory=CampaignConfig)
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    response: ResponseConfig = field(default_factory=ResponseConfig)
     cache_dir: Optional[str] = None

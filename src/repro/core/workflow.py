@@ -100,7 +100,10 @@ class VegaWorkflow:
     Usage::
 
         workflow = VegaWorkflow(VegaConfig())
-        report = workflow.run(design, operand_stream, clock_period_ns=6.0)
+        report = workflow.run(build_alu(), stream, AluMapper())
+
+    where ``stream`` is the ALU's operand stream, for example
+    ``collect_unit_streams(["minver"])["alu"]``.
     """
 
     def __init__(self, config: Optional[VegaConfig] = None):

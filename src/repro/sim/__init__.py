@@ -1,4 +1,4 @@
-"""Gate-level simulation: compiled simulator, SP probes, VCD output."""
+"""Gate-level simulation: compiled simulator and SP probes."""
 
 from .gatesim import (
     GateSimulator,
@@ -7,29 +7,15 @@ from .gatesim import (
     unpack_vectors,
 )
 from .parallel_profile import profile_workload_streams
-from .probes import (
-    ActivityProfile,
-    SPCounter,
-    SPProfile,
-    profile_activity,
-    profile_stimulus,
-)
-from .vcd import VcdWriter
-from .vcd_reader import VcdParseError, parse_vcd, sp_profile_from_vcd
+from .probes import SPCounter, SPProfile, profile_stimulus
 
 __all__ = [
     "GateSimulator",
     "SimulationError",
     "pack_vectors",
     "unpack_vectors",
-    "ActivityProfile",
     "SPCounter",
     "SPProfile",
-    "profile_activity",
     "profile_stimulus",
     "profile_workload_streams",
-    "VcdWriter",
-    "VcdParseError",
-    "parse_vcd",
-    "sp_profile_from_vcd",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from ..netlist.netlist import Netlist
 from .gatesim import GateSimulator
@@ -131,45 +131,19 @@ class SPProfile:
 
 
 class SPCounter:
-    """Accumulates 1-state (and optional toggle) counts for every net.
+    """Accumulates 1-state counts for every net."""
 
-    Toggle counting compares consecutive samples per net; it feeds the
-    switching-activity analyses (electromigration and dynamic IR drop,
-    :mod:`repro.aging.em`) the paper lists as Aging Analysis extensions.
-    """
-
-    def __init__(self, netlist: Netlist, count_toggles: bool = False):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
         self.ones: Dict[str, int] = {name: 0 for name in netlist.nets}
         self.samples = 0
-        self.count_toggles = count_toggles
-        self.toggles: Dict[str, int] = {name: 0 for name in netlist.nets}
-        self.demand_series: List[float] = []
-        self._previous: Optional[Dict[str, int]] = None
 
     def sample(self, sim: GateSimulator, mask: int = 1) -> None:
         """Record one cycle's values (all packed vectors at once)."""
-        width = mask.bit_count()
         values = sim.values
-        if self.count_toggles:
-            previous = self._previous
-            snapshot: Dict[str, int] = {}
-            cycle_toggles = 0
-            for name, index in sim._net_index.items():
-                value = values[index] & mask
-                self.ones[name] += value.bit_count()
-                snapshot[name] = value
-                if previous is not None:
-                    flips = (value ^ previous[name]).bit_count()
-                    self.toggles[name] += flips
-                    cycle_toggles += flips
-            if previous is not None:
-                self.demand_series.append(cycle_toggles / max(1, width))
-            self._previous = snapshot
-        else:
-            for name, index in sim._net_index.items():
-                self.ones[name] += (values[index] & mask).bit_count()
-        self.samples += width
+        for name, index in sim._net_index.items():
+            self.ones[name] += (values[index] & mask).bit_count()
+        self.samples += mask.bit_count()
 
     def profile(self) -> SPProfile:
         if self.samples == 0:
@@ -182,42 +156,6 @@ class SPCounter:
             samples=self.samples,
             ones=dict(self.ones),
         )
-
-    def activity(self) -> "ActivityProfile":
-        """Per-net toggle rates (transitions per sampled cycle)."""
-        if not self.count_toggles:
-            raise ValueError("toggle counting was not enabled")
-        if self.samples == 0:
-            raise ValueError("no samples collected")
-        return ActivityProfile(
-            netlist_name=self.netlist.name,
-            toggle_rate={
-                name: count / self.samples
-                for name, count in self.toggles.items()
-            },
-            samples=self.samples,
-            demand_series=list(self.demand_series),
-        )
-
-
-@dataclass
-class ActivityProfile:
-    """Per-net switching activity (toggles per cycle).
-
-    ``demand_series`` records the aggregate toggle count per sampled
-    cycle, feeding the dynamic IR-drop analysis.
-    """
-
-    netlist_name: str
-    toggle_rate: Dict[str, float] = field(default_factory=dict)
-    samples: int = 0
-    demand_series: List[float] = field(default_factory=list)
-
-    def hottest(self, count: int = 10):
-        """The most active nets, busiest first."""
-        return sorted(
-            self.toggle_rate.items(), key=lambda kv: -kv[1]
-        )[:count]
 
 
 def profile_stimulus(
@@ -237,20 +175,3 @@ def profile_stimulus(
         sim.step(dict(vector), mask=mask, packed=packed)
         counter.sample(sim, mask=mask)
     return counter.profile()
-
-
-def profile_activity(
-    netlist: Netlist,
-    stimulus: Iterable[Mapping[str, int]],
-) -> "ActivityProfile":
-    """Simulate ``stimulus`` with toggle counting; return the activity.
-
-    Scalar-mode only: toggle counting compares consecutive cycles, so
-    packed lanes (independent vectors) would not form a time series.
-    """
-    sim = GateSimulator(netlist)
-    counter = SPCounter(netlist, count_toggles=True)
-    for vector in stimulus:
-        sim.step(dict(vector))
-        counter.sample(sim)
-    return counter.activity()

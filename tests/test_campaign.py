@@ -1,6 +1,8 @@
 """Tests for the fleet-scale fault-injection campaign engine."""
 
 import dataclasses
+import math
+import random
 
 import pytest
 
@@ -10,13 +12,10 @@ from repro.campaign import (
     fleet_digest,
     sample_fleet,
 )
+from repro.campaign.fleet import assign_model
 from repro.core import telemetry
 from repro.core.artifacts import ArtifactCache
-from repro.core.config import (
-    CampaignConfig,
-    ErrorLiftingConfig,
-    VegaConfig,
-)
+from repro.core.config import CampaignConfig, ErrorLiftingConfig
 from repro.core.rng import stream_rng, stream_seed
 from repro.cpu.alu_design import build_alu
 from repro.cpu.mappers import AluMapper
@@ -111,6 +110,27 @@ class TestFleetSampling:
         for spec in faulty:
             assert spec.model in MODELS
             assert spec.onset_years <= CONFIG.mission_years
+
+
+class TestAssignModelBoundary:
+    """Mission-window boundary regression: onset == mission is faulty."""
+
+    def test_onset_at_mission_boundary_is_faulty(self):
+        faulty, model = assign_model(random.Random(0), MODELS[:1], 10.0, 10.0)
+        assert faulty is True
+        assert model is MODELS[0]
+
+    def test_onset_just_past_mission_is_healthy(self):
+        faulty, model = assign_model(
+            random.Random(0), MODELS[:1], math.nextafter(10.0, math.inf), 10.0
+        )
+        assert faulty is False
+        assert model is None
+
+    def test_no_models_means_never_faulty(self):
+        faulty, model = assign_model(random.Random(0), [], 1.0, 10.0)
+        assert faulty is False
+        assert model is None
 
 
 class TestCampaignDeterminism:
@@ -289,9 +309,6 @@ class TestCampaignTelemetry:
 
 
 class TestCampaignConfigPlumbing:
-    def test_vega_config_carries_campaign(self):
-        assert VegaConfig().campaign == CampaignConfig()
-
     def test_unknown_suite_is_rejected(self, alu_netlist, vega_library):
         config = dataclasses.replace(
             CONFIG, suites=("vega", "nonsense")

@@ -1,29 +1,13 @@
-"""Tests for the §6.3 extensions: fuzz lifting, EM, and IR drop."""
+"""Tests for the §6.3 fuzz-lifting extension."""
 
-import random
-
-import pytest
-
-from repro.aging.em import (
-    EmParameters,
-    electromigration_analysis,
-    ir_drop_analysis,
-)
-from repro.core.example import build_paper_adder
 from repro.formal.bmc import BmcStatus, BoundedModelChecker, CoverObjective
+from repro.formal.bmc import InputAssumption
 from repro.lifting.fuzz import FuzzTraceGenerator
 from repro.lifting.instrument import instrument_for_cover, make_failing_netlist
 from repro.lifting.models import CMode, FailureModel, ViolationKind
-from repro.formal.bmc import InputAssumption
 from repro.sim.gatesim import GateSimulator
-from repro.sim.probes import SPCounter, profile_activity
 
 SETUP_MODEL = FailureModel("d4", "d10", ViolationKind.SETUP, CMode.ONE)
-
-
-def _random_stimulus(count, seed=3):
-    rng = random.Random(seed)
-    return [{"a": rng.randrange(4), "b": rng.randrange(4)} for _ in range(count)]
 
 
 class TestFuzzTraceGenerator:
@@ -96,84 +80,3 @@ class TestFuzzTraceGenerator:
         )
         fuzz = FuzzTraceGenerator(instr, seed=6).search(max_trials=200)
         assert (formal.status is BmcStatus.COVERED) == fuzz.covered
-
-
-class TestActivityProfiling:
-    def test_toggle_rates_bounded(self, paper_adder):
-        activity = profile_activity(paper_adder, _random_stimulus(200))
-        assert all(0.0 <= r <= 1.0 for r in activity.toggle_rate.values())
-
-    def test_constant_inputs_no_toggles(self, paper_adder):
-        activity = profile_activity(paper_adder, [{"a": 2, "b": 1}] * 50)
-        # After the pipeline warms up only the first transitions count.
-        assert sum(activity.toggle_rate.values()) < 0.5
-
-    def test_alternating_inputs_toggle_every_cycle(self, paper_adder):
-        stim = [{"a": 3 * (i % 2), "b": 0} for i in range(100)]
-        activity = profile_activity(paper_adder, stim)
-        aq_net = paper_adder.instances["d1"].output_net.name
-        assert activity.toggle_rate[aq_net] > 0.9
-
-    def test_hottest_ranking(self, paper_adder):
-        activity = profile_activity(paper_adder, _random_stimulus(100))
-        ranked = activity.hottest(3)
-        rates = [rate for _, rate in ranked]
-        assert rates == sorted(rates, reverse=True)
-
-    def test_counter_requires_toggle_mode(self, paper_adder):
-        counter = SPCounter(paper_adder, count_toggles=False)
-        sim = GateSimulator(paper_adder)
-        sim.step({"a": 0, "b": 0})
-        counter.sample(sim)
-        with pytest.raises(ValueError, match="toggle"):
-            counter.activity()
-
-
-class TestElectromigration:
-    def test_busier_nets_fail_sooner(self, paper_adder):
-        activity = profile_activity(paper_adder, _random_stimulus(300))
-        report = electromigration_analysis(paper_adder, activity)
-        assert report.findings
-        mttfs = [f.mttf_years for f in report.findings]
-        assert mttfs == sorted(mttfs)
-        worst = report.findings[0]
-        best = report.findings[-1]
-        assert worst.current_density >= best.current_density
-
-    def test_hotter_fails_sooner(self, paper_adder):
-        activity = profile_activity(paper_adder, _random_stimulus(300))
-        hot = electromigration_analysis(paper_adder, activity, 125.0)
-        cold = electromigration_analysis(paper_adder, activity, 85.0)
-        assert hot.findings[0].mttf_years < cold.findings[0].mttf_years
-
-    def test_lifetime_filter(self, paper_adder):
-        activity = profile_activity(paper_adder, _random_stimulus(300))
-        report = electromigration_analysis(paper_adder, activity)
-        risky = report.below_lifetime(10.0)
-        assert all(f.mttf_years < 10.0 for f in risky)
-
-    def test_calibration_decade_scale(self, paper_adder):
-        """A fully-toggling fanout-1 net lasts decades, not hours."""
-        activity = profile_activity(paper_adder, _random_stimulus(300))
-        report = electromigration_analysis(paper_adder, activity)
-        assert 1.0 < report.findings[0].mttf_years < 10_000.0
-
-
-class TestIrDrop:
-    def test_peak_at_least_average(self, paper_adder):
-        activity = profile_activity(paper_adder, _random_stimulus(300))
-        report = ir_drop_analysis(paper_adder, activity)
-        assert report.peak_demand >= report.average_demand > 0
-
-    def test_hotspots_sorted(self, paper_adder):
-        activity = profile_activity(paper_adder, _random_stimulus(300))
-        report = ir_drop_analysis(paper_adder, activity)
-        weights = [w for _, w in report.hotspots]
-        assert weights == sorted(weights, reverse=True)
-
-    def test_budget_verdict(self, paper_adder):
-        activity = profile_activity(paper_adder, _random_stimulus(300))
-        generous = ir_drop_analysis(paper_adder, activity, budget_fraction=10.0)
-        stingy = ir_drop_analysis(paper_adder, activity, budget_fraction=1e-6)
-        assert not generous.violated
-        assert stingy.violated

@@ -235,6 +235,32 @@ class TestWorkflowCaching:
             for v in r1.report.violations
         ]
 
+    def test_older_corner_layout_is_a_miss(self, tmp_path, adder):
+        # A delay model stored before OperatingCorner lost its
+        # hci_stress_scale field: the corner carries one key too many.
+        stream = _stream(14, 64)
+        _, p1, r1 = self._run(tmp_path, adder, stream)
+        (entry,) = (tmp_path / "aged-delays").rglob("*.json")
+        data = json.loads(entry.read_text())
+        data["corner"]["hci_stress_scale"] = 1.15
+        entry.write_text(json.dumps(data, sort_keys=True))
+        w2, p2, r2 = self._run(tmp_path, adder, stream)
+        assert w2.last_cache_stats == (1, 1)  # profile hit, model miss
+        assert p2.sp == p1.sp
+        assert r2.period_ns == r1.period_ns
+        assert [
+            (v.start, v.end, v.kind, v.arrival)
+            for v in r2.report.violations
+        ] == [
+            (v.start, v.end, v.kind, v.arrival)
+            for v in r1.report.violations
+        ]
+        assert r2.delay_increase == r1.delay_increase
+        # The recomputed model was re-stored in the current layout.
+        assert "hci_stress_scale" not in json.loads(entry.read_text())["corner"]
+        w3, _, _ = self._run(tmp_path, adder, stream)
+        assert w3.last_cache_stats == (2, 0)
+
     def test_changed_stream_misses(self, tmp_path, adder):
         self._run(tmp_path, adder, _stream(11, 64))
         w2, _, _ = self._run(tmp_path, adder, _stream(12, 64))

@@ -1,4 +1,4 @@
-"""Tests for the gate-level simulator, SP probes, and VCD writer."""
+"""Tests for the gate-level simulator and SP probes."""
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from repro.sim.gatesim import (
 )
 from repro.sim.parallel_profile import profile_workload_streams
 from repro.sim.probes import SPCounter, SPProfile, profile_stimulus
-from repro.sim.vcd import VcdWriter
 
 
 class TestPackUnpack:
@@ -196,29 +195,6 @@ class TestSPProfiling:
         scalar = counter.profile()
         for name in scalar.sp:
             assert scalar.sp[name] == pytest.approx(packed.sp[name])
-
-
-class TestVcd:
-    def test_header_and_changes(self):
-        writer = VcdWriter(["clk", "x"], timescale="1ns")
-        writer.sample({"clk": 0, "x": 1}, time=0)
-        writer.sample({"clk": 1, "x": 1}, time=1)
-        text = writer.dump()
-        assert "$timescale 1ns $end" in text
-        assert "$var wire 1" in text
-        assert "#0" in text and "#1" in text
-
-    def test_no_redundant_changes(self):
-        writer = VcdWriter(["x"])
-        writer.sample({"x": 1}, time=0)
-        writer.sample({"x": 1}, time=1)
-        assert writer.dump().count("1!") == 1
-
-    def test_many_signals_get_unique_codes(self):
-        names = [f"s{i}" for i in range(200)]
-        writer = VcdWriter(names)
-        codes = set(writer._codes.values())
-        assert len(codes) == 200
 
 
 class TestPackedRegressions:

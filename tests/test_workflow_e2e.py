@@ -153,3 +153,17 @@ class TestMarkdownReport:
         assert "## Phase 3" in text
         assert "| start | end | kind |" in text
         assert "cycles per pass" in text
+
+
+class TestPackageQuickstart:
+    def test_docstring_quickstart_runs(self, capsys):
+        """The package docstring's Quickstart block runs as written."""
+        import textwrap
+
+        import repro
+
+        block = repro.__doc__.split("Quickstart::", 1)[1]
+        namespace = {}
+        exec(compile(textwrap.dedent(block), "<quickstart>", "exec"), namespace)
+        assert namespace["report"].test_suite is not None
+        assert "Vega workflow report for 'alu'" in capsys.readouterr().out
