@@ -15,11 +15,16 @@ engines on a hard configuration (mitigation variants, deep bound),
 checks the reports are identical, and records the pair/conflict table.
 Acceptance: parallel + incremental is at least 2x faster than the
 seed-style serial engine.
+
+A second block gates the FPU's search: one serial incremental lift at
+the workflow's own settings, with its solver and unrolling work
+counters.  They change only if the CNF or the search does.
 """
 
 import time
 from contextlib import nullcontext
 
+from repro.core import telemetry
 from repro.core.config import ErrorLiftingConfig
 from repro.lifting.lifter import ErrorLifter
 
@@ -124,6 +129,7 @@ def test_lifting_engine_scaling(ctx, benchmark, recorder):
         "lifting_scaling", "endpoint_pairs", len(serial_report.pairs),
         "pairs", depth=BMC_DEPTH, bigger_is_better=True,
     )
+    rows.extend(["", *_fpu_rows(ctx, recorder)])
     recorder.table("lifting_scaling", "\n".join(rows))
 
     # Acceptance: the new engine at least halves lifting wall time.
@@ -133,3 +139,59 @@ def test_lifting_engine_scaling(ctx, benchmark, recorder):
 
     result = benchmark(_lift, unit, True, 1)
     assert result.pairs
+
+
+#: Deterministic FPU columns: (header, counter, sample metric, unit).
+FPU_COLUMNS = (
+    ("conflicts", "sat.conflicts", "fpu_conflicts", "conflicts"),
+    ("decisions", "sat.decisions", "fpu_decisions", "decisions"),
+    ("propagations", "sat.propagations", "fpu_propagations", "propagations"),
+    ("frames", "bmc.frames", "fpu_frames", "frames"),
+    ("bmc.clauses", "bmc.clauses", "fpu_bmc_clauses", "clauses"),
+)
+
+
+def _fpu_rows(ctx, recorder):
+    """One serial incremental FPU lift; its table rows and samples."""
+    unit = ctx.fpu
+    lifting = ctx.config.lifting
+    config = ErrorLiftingConfig(
+        bmc_depth=lifting.bmc_depth,
+        bmc_conflict_budget=lifting.bmc_conflict_budget,
+        workers=1,
+    )
+    lifter = ErrorLifter(unit.netlist, config, unit.mapper)
+    report = unit.sta_result.report
+    tele = telemetry.Telemetry(run_id="lifting-scaling-fpu")
+    with telemetry.use(tele):
+        start = time.perf_counter()
+        pairs = len(lifter.lift(report).pairs)
+        wall = time.perf_counter() - start
+    recorder.sample(
+        "lifting_scaling", "fpu_wall_time", wall, "seconds",
+        depth=config.bmc_depth, timing=True,
+    )
+    recorder.sample(
+        "lifting_scaling", "fpu_endpoint_pairs", pairs, "pairs",
+        depth=config.bmc_depth, bigger_is_better=True,
+    )
+    values = []
+    for _, counter, metric, unit_name in FPU_COLUMNS:
+        value = int(tele.counters.get(counter, 0))
+        values.append(value)
+        recorder.sample(
+            "lifting_scaling", metric, value, unit_name,
+            depth=config.bmc_depth,
+        )
+    header = " | ".join(
+        ["engine     ", "endpoint pairs", *(c[0] for c in FPU_COLUMNS)]
+    )
+    row = " | ".join(
+        [f"{'incremental':11s}", f"{pairs:14d}"]
+        + [f"{v:{len(c[0])}d}" for v, c in zip(values, FPU_COLUMNS)]
+    )
+    return [
+        f"FPU workflow: mitigation off, depth {config.bmc_depth}, serial",
+        header,
+        row,
+    ]

@@ -196,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_unit(p)
     _add_mitigation(p)
     _add_workers(p)
+    _add_traced(p)
 
     p = sub.add_parser("suite", help="emit test-suite artifacts")
     _add_unit(p)

@@ -20,7 +20,6 @@ class DimacsError(Exception):
 def parse_dimacs(text: str) -> Tuple[int, List[List[int]]]:
     """Parse DIMACS CNF text; returns (num_vars, clauses)."""
     num_vars: Optional[int] = None
-    declared_clauses: Optional[int] = None
     clauses: List[List[int]] = []
     current: List[int] = []
     for raw in text.splitlines():
@@ -32,7 +31,7 @@ def parse_dimacs(text: str) -> Tuple[int, List[List[int]]]:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"bad problem line {line!r}")
             num_vars = int(parts[2])
-            declared_clauses = int(parts[3])
+            int(parts[3])  # the clause count must parse; it is not enforced
             continue
         if num_vars is None:
             raise DimacsError("clause before problem line")
@@ -49,9 +48,6 @@ def parse_dimacs(text: str) -> Tuple[int, List[List[int]]]:
                 current.append(literal)
     if current:
         clauses.append(current)  # tolerate a missing trailing 0
-    if declared_clauses is not None and len(clauses) != declared_clauses:
-        # Tolerant like most solvers, but worth noticing in debugging.
-        pass
     if num_vars is None:
         raise DimacsError("missing problem line")
     return num_vars, clauses
@@ -61,8 +57,7 @@ def solver_from_dimacs(text: str) -> SatSolver:
     """Build a ready-to-solve :class:`SatSolver` from DIMACS text."""
     num_vars, clauses = parse_dimacs(text)
     solver = SatSolver()
-    for _ in range(num_vars):
-        solver.new_var()
+    solver.new_vars(num_vars)
     for clause in clauses:
         solver.add_clause(clause)
     return solver

@@ -1,13 +1,17 @@
 """Tseitin encoding of gate-level netlists into CNF.
 
 Each cell type contributes the standard equivalence clauses relating its
-output variable to its input variables.  The encoder works per-cycle for
-the bounded model checker, which aliases DFF outputs across time frames.
+output variable to its input variables.  :data:`CELL_CLAUSES` holds them
+once, over pin positions.  :func:`encode_instance` instantiates them on
+a live solver; :func:`slot_encoder` turns them into the generated
+function the bounded model checker compiles its per-frame clause
+template with (:mod:`repro.formal.bmc`), where DFF outputs alias across
+time frames.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..netlist.netlist import Instance
 from .sat import SatSolver
@@ -15,6 +19,90 @@ from .sat import SatSolver
 
 class EncodingError(Exception):
     """Raised when a cell type has no CNF model."""
+
+
+# Pin positions: the output, then the inputs in ``CellType.inputs``
+# order.  A pattern literal is a signed position, 1-based.
+Y, A, B, C = 1, 2, 3, 4
+S = C  # MUX2's select is its third input
+
+#: Tseitin clauses per combinational cell type.  The clause order and
+#: the literal order inside each clause are part of the encoding: the
+#: solver's watches and its VSIDS ties follow them.
+CELL_CLAUSES: Dict[str, Tuple[Tuple[int, ...], ...]] = {
+    "BUF": ((-A, Y), (A, -Y)),
+    "CLKBUF": ((-A, Y), (A, -Y)),
+    "INV": ((A, Y), (-A, -Y)),
+    "AND2": ((-Y, A), (-Y, B), (Y, -A, -B)),
+    "AND3": ((-Y, A), (-Y, B), (-Y, C), (Y, -A, -B, -C)),
+    "OR2": ((Y, -A), (Y, -B), (-Y, A, B)),
+    "NAND2": ((Y, A), (Y, B), (-Y, -A, -B)),
+    "NOR2": ((-Y, -A), (-Y, -B), (Y, A, B)),
+    "XOR2": ((-Y, A, B), (-Y, -A, -B), (Y, -A, B), (Y, A, -B)),
+    "XNOR2": ((Y, A, B), (Y, -A, -B), (-Y, -A, B), (-Y, A, -B)),
+    "MUX2": (
+        (-S, -B, Y),
+        (-S, B, -Y),
+        (S, -A, Y),
+        (S, A, -Y),
+        # Redundant but propagation-strengthening clauses.
+        (-A, -B, Y),
+        (A, B, -Y),
+    ),
+    "TIE0": ((-Y,),),
+    "TIE1": ((Y,),),
+}
+
+
+def cell_clauses(inst: Instance) -> Tuple[Tuple[int, ...], ...]:
+    """``inst``'s Tseitin pattern from :data:`CELL_CLAUSES`."""
+    if inst.ctype.is_seq:
+        raise EncodingError(
+            "DFFs are handled by the unroller (frame aliasing), not by "
+            "per-frame encoding"
+        )
+    clauses = CELL_CLAUSES.get(inst.ctype.name)
+    if clauses is None:
+        raise EncodingError(f"no CNF model for cell type {inst.ctype.name!r}")
+    return clauses
+
+
+SlotClauses = Tuple[Tuple[int, ...], ...]
+
+_SLOT_ENCODERS: Dict[str, Callable[..., SlotClauses]] = {}
+
+
+def slot_encoder(inst: Instance) -> Callable[..., SlotClauses]:
+    """A function from ``inst``'s pin slots to its clauses over slots.
+
+    It takes the output slot, then the input slots, and returns the
+    :data:`CELL_CLAUSES` pattern with each literal as the slot literal
+    ``2 * slot + negated``.  Like the gate simulator's cycle function,
+    it is generated source, ``exec``'d once per cell type: the bounded
+    model checker's template compiler calls it once per cell, and the
+    straight-line form takes about half the time of mapping the
+    pattern through a lookup list.
+    """
+    patterns = cell_clauses(inst)
+    name = inst.ctype.name
+    encoder = _SLOT_ENCODERS.get(name)
+    if encoder is None:
+        pins = 1 + len(inst.ctype.inputs)
+        lines = [f"def encode({', '.join(f'p{i}' for i in range(pins))}):"]
+        lines.extend(f"    d{i} = p{i} << 1" for i in range(pins))
+        clauses = ", ".join(
+            "("
+            + ", ".join(
+                f"d{abs(l) - 1} | 1" if l < 0 else f"d{l - 1}" for l in pattern
+            )
+            + ",)"
+            for pattern in patterns
+        )
+        lines.append(f"    return ({clauses},)")
+        namespace: Dict[str, Callable[..., SlotClauses]] = {}
+        exec(compile("\n".join(lines), f"<encode:{name}>", "exec"), namespace)
+        encoder = _SLOT_ENCODERS[name] = namespace["encode"]
+    return encoder
 
 
 def encode_instance(
@@ -27,76 +115,13 @@ def encode_instance(
     ``var_of`` maps net names (of the current time frame) to solver
     variables; the output variable must already be allocated.
     """
-    name = inst.ctype.name
-    if inst.ctype.is_seq:
-        raise EncodingError(
-            "DFFs are handled by the unroller (frame aliasing), not by "
-            "per-frame encoding"
+    clauses = cell_clauses(inst)
+    pins = [var_of[inst.output_net.name]]
+    pins.extend(var_of[n.name] for n in inst.input_nets())
+    for pattern in clauses:
+        solver.add_clause(
+            [pins[l - 1] if l > 0 else -pins[-l - 1] for l in pattern]
         )
-    y = var_of[inst.output_net.name]
-    ins = [var_of[n.name] for n in inst.input_nets()]
-
-    if name in ("BUF", "CLKBUF"):
-        a = ins[0]
-        solver.add_clause([-a, y])
-        solver.add_clause([a, -y])
-    elif name == "INV":
-        a = ins[0]
-        solver.add_clause([a, y])
-        solver.add_clause([-a, -y])
-    elif name == "AND2":
-        a, b = ins
-        solver.add_clause([-y, a])
-        solver.add_clause([-y, b])
-        solver.add_clause([y, -a, -b])
-    elif name == "AND3":
-        a, b, c = ins
-        solver.add_clause([-y, a])
-        solver.add_clause([-y, b])
-        solver.add_clause([-y, c])
-        solver.add_clause([y, -a, -b, -c])
-    elif name == "OR2":
-        a, b = ins
-        solver.add_clause([y, -a])
-        solver.add_clause([y, -b])
-        solver.add_clause([-y, a, b])
-    elif name == "NAND2":
-        a, b = ins
-        solver.add_clause([y, a])
-        solver.add_clause([y, b])
-        solver.add_clause([-y, -a, -b])
-    elif name == "NOR2":
-        a, b = ins
-        solver.add_clause([-y, -a])
-        solver.add_clause([-y, -b])
-        solver.add_clause([y, a, b])
-    elif name == "XOR2":
-        a, b = ins
-        solver.add_clause([-y, a, b])
-        solver.add_clause([-y, -a, -b])
-        solver.add_clause([y, -a, b])
-        solver.add_clause([y, a, -b])
-    elif name == "XNOR2":
-        a, b = ins
-        solver.add_clause([y, a, b])
-        solver.add_clause([y, -a, -b])
-        solver.add_clause([-y, -a, b])
-        solver.add_clause([-y, a, -b])
-    elif name == "MUX2":
-        a, b, s = ins
-        solver.add_clause([-s, -b, y])
-        solver.add_clause([-s, b, -y])
-        solver.add_clause([s, -a, y])
-        solver.add_clause([s, a, -y])
-        # Redundant but propagation-strengthening clauses.
-        solver.add_clause([-a, -b, y])
-        solver.add_clause([a, b, -y])
-    elif name == "TIE0":
-        solver.add_clause([-y])
-    elif name == "TIE1":
-        solver.add_clause([y])
-    else:
-        raise EncodingError(f"no CNF model for cell type {name!r}")
 
 
 def encode_xor_var(solver: SatSolver, a: int, b: int) -> int:

@@ -81,6 +81,9 @@ class SatSolver:
         self._heap: List[int] = []
         self._heap_pos: List[int] = [-1]
         self._phase: List[int] = [0]
+        # Conflict analysis marks; every mark is cleared before
+        # _analyze returns, so one array serves every conflict.
+        self._seen: List[bool] = [False]
         self._trail: List[int] = []  # internal lits, assignment order
         self._trail_lim: List[int] = []
         self._qhead = 0
@@ -113,10 +116,32 @@ class SatSolver:
         self._activity.append(0.0)
         self._heap_pos.append(-1)
         self._phase.append(0)
+        self._seen.append(False)
         self._watches.append([])
         self._watches.append([])
         self._heap_insert(self._nvars)
         return self._nvars
+
+    def new_vars(self, count: int) -> int:
+        """Allocate ``count`` consecutive variables; returns the first.
+
+        The same state as ``count`` calls of :meth:`new_var`: a fresh
+        variable has activity 0 and the highest index, so
+        :meth:`_heap_insert` would leave it where appending puts it.
+        """
+        first = self._nvars + 1
+        self._nvars += count
+        self._val.extend([-1] * count)
+        self._level.extend([0] * count)
+        self._reason.extend([None] * count)
+        self._activity.extend([0.0] * count)
+        self._phase.extend([0] * count)
+        self._seen.extend([False] * count)
+        self._watches.extend([[] for _ in range(2 * count)])
+        heap = self._heap
+        self._heap_pos.extend(range(len(heap), len(heap) + count))
+        heap.extend(range(first, first + count))
+        return first
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Add a clause of signed literals; duplicates and tautologies
@@ -143,12 +168,55 @@ class SatSolver:
                 out.append(internal)
             elif prior != internal:
                 return  # tautology: v and -v in the same clause
+        self._add_internal(out)
+
+    def add_clauses(
+        self, clauses: Sequence[Sequence[int]], table: Sequence[int]
+    ) -> None:
+        """Add clauses over slots: :meth:`add_clause` in bulk.
+
+        A clause holds *slot literals* ``2 * slot + negated``; ``table``
+        maps each slot to a solver variable.  The clauses are added in
+        order with :meth:`add_clause`'s root-level simplification,
+        unit handling and watches.  The caller guarantees what
+        :meth:`add_clause` would otherwise establish per clause: under
+        ``table`` no clause repeats a variable or holds both of its
+        signs.  In place of the per-literal unknown-variable check,
+        ``table`` is range-checked once.
+        """
+        if table and (min(table) < 1 or max(table) > self._nvars):
+            raise ValueError("slot table names an unknown variable")
+        lit_of = [0] * (2 * len(table))
+        lit_of[0::2] = [var << 1 for var in table]
+        lit_of[1::2] = [(var << 1) | 1 for var in table]
+        internal = lit_of.__getitem__
+        val, watches, store = self._val, self._watches, self._clauses
+        for clause in clauses:
+            out = list(map(internal, clause))
+            for lit in out:
+                if val[lit >> 1] >= 0:
+                    self._add_internal(out)
+                    break
+            else:
+                # No literal is assigned: nothing to simplify.
+                if len(out) > 1:
+                    stored = _Clause(out)
+                    store.append(stored)
+                    watches[out[0]].append(stored)
+                    watches[out[1]].append(stored)
+                else:
+                    self._add_internal(out)
+
+    def _add_internal(self, out: List[int]) -> None:
+        """Add a clause of distinct internal literals, no tautology."""
         # Root-level simplification: assignments at level 0 are
         # permanent, so satisfied clauses vanish and false literals drop.
+        val, level = self._val, self._level
         simplified: List[int] = []
         for lit in out:
-            if self._val[lit >> 1] >= 0 and self._level[lit >> 1] == 0:
-                if self._lit_val(lit) == 1:
+            value = val[lit >> 1]
+            if value >= 0 and level[lit >> 1] == 0:
+                if value != lit & 1:
                     return  # permanently satisfied
                 continue  # permanently false: drop the literal
             simplified.append(lit)
@@ -210,14 +278,24 @@ class SatSolver:
         self._trail.append(lit)
 
     def _propagate(self) -> Optional[_Clause]:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            false_lit = lit ^ 1
-            watchers = self._watches[false_lit]
+        """Unit propagation; returns a conflicting clause or None.
+
+        The hot loop of the search: state is bound to locals, and
+        :meth:`_lit_val` / :meth:`_enqueue` are inlined.  A literal
+        ``l`` is false when ``val[l >> 1] == l & 1`` and true when
+        ``val[l >> 1] == (l & 1) ^ 1``.
+        """
+        trail, watches, val = self._trail, self._watches, self._val
+        level, reason, phase = self._level, self._reason, self._phase
+        depth = len(self._trail_lim)
+        qhead = self._qhead
+        propagations = 0
+        conflict = None
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
             keep: List[_Clause] = []
-            conflict = None
             index = 0
             count = len(watchers)
             while index < count:
@@ -228,43 +306,50 @@ class SatSolver:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._lit_val(first) == 1:
+                first_val = val[first >> 1]
+                if first_val == (first & 1) ^ 1:
                     keep.append(clause)
                     continue
                 # Search for a new literal to watch.
-                moved = False
                 for k in range(2, len(lits)):
-                    if self._lit_val(lits[k]) != 0:
+                    lit = lits[k]
+                    if val[lit >> 1] != lit & 1:
                         # lits[k] is not false, so it differs from
                         # false_lit: the append never targets the list
                         # being rebuilt here.
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1]].append(clause)
-                        moved = True
+                        lits[1], lits[k] = lit, lits[1]
+                        watches[lit].append(clause)
                         break
-                if moved:
-                    continue
-                keep.append(clause)
-                if self._lit_val(first) == 0:
-                    # Conflict: keep remaining watchers, bail out.
-                    keep.extend(watchers[index:count])
-                    conflict = clause
-                    break
-                self.propagations += 1
-                self._enqueue(first, clause)
-            self._watches[false_lit] = keep
+                else:
+                    keep.append(clause)
+                    if first_val == first & 1:
+                        # Conflict: keep remaining watchers, bail out.
+                        keep.extend(watchers[index:count])
+                        conflict = clause
+                        break
+                    propagations += 1
+                    var = first >> 1
+                    value = (first & 1) ^ 1
+                    val[var] = value
+                    level[var] = depth
+                    reason[var] = clause
+                    phase[var] = value
+                    trail.append(first)
+            watches[false_lit] = keep
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._qhead = qhead
+        self.propagations += propagations
+        return conflict
 
     def _analyze(self, conflict: _Clause) -> tuple[List[int], int]:
         """1UIP conflict analysis; returns (learned clause, backjump level)."""
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self._nvars + 1)
+        seen, level, trail = self._seen, self._level, self._trail
         counter = 0
         lit = -1
         reason: Optional[_Clause] = conflict
-        trail_index = len(self._trail) - 1
+        trail_index = len(trail) - 1
         current_level = len(self._trail_lim)
 
         while True:
@@ -275,17 +360,17 @@ class SatSolver:
             start = 1 if lit != -1 else 0
             for clause_lit in reason.lits[start:]:
                 var = clause_lit >> 1
-                if not seen[var] and self._level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
                     self._bump_var(var)
-                    if self._level[var] >= current_level:
+                    if level[var] >= current_level:
                         counter += 1
                     else:
                         learned.append(clause_lit)
             # Walk back to the next marked literal on the trail.
-            while not seen[self._trail[trail_index] >> 1]:
+            while not seen[trail[trail_index] >> 1]:
                 trail_index -= 1
-            lit = self._trail[trail_index]
+            lit = trail[trail_index]
             trail_index -= 1
             var = lit >> 1
             seen[var] = False
@@ -294,26 +379,32 @@ class SatSolver:
                 break
             reason = self._reason[var]
         learned[0] = lit ^ 1
+        # Current-level marks were cleared on the walk back; the
+        # lower-level literals of the learned clause still hold theirs.
+        for clause_lit in learned[1:]:
+            seen[clause_lit >> 1] = False
 
         if len(learned) == 1:
             return learned, 0
         # Backjump to the second-highest decision level in the clause.
         max_index = 1
         for i in range(2, len(learned)):
-            if self._level[learned[i] >> 1] > self._level[learned[max_index] >> 1]:
+            if level[learned[i] >> 1] > level[learned[max_index] >> 1]:
                 max_index = i
         learned[1], learned[max_index] = learned[max_index], learned[1]
-        return learned, self._level[learned[1] >> 1]
+        return learned, level[learned[1] >> 1]
 
     def _backtrack(self, level: int) -> None:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
+        val, reason, pos = self._val, self._reason, self._heap_pos
         for lit in reversed(self._trail[limit:]):
             var = lit >> 1
-            self._val[var] = -1
-            self._reason[var] = None
-            self._heap_insert(var)
+            val[var] = -1
+            reason[var] = None
+            if pos[var] < 0:  # assigned variables stay in the heap lazily
+                self._heap_insert(var)
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -363,52 +454,44 @@ class SatSolver:
         heap[index] = var
         pos[var] = index
 
-    def _heap_down(self, index: int) -> None:
-        heap, pos, activity = self._heap, self._heap_pos, self._activity
-        var = heap[index]
-        key = activity[var]
-        size = len(heap)
-        while True:
-            child = 2 * index + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size:
-                ckey, rkey = activity[heap[child]], activity[heap[right]]
-                if rkey > ckey or (rkey == ckey and heap[right] < heap[child]):
-                    child = right
-            cvar = heap[child]
-            ckey = activity[cvar]
-            if key > ckey or (key == ckey and var < cvar):
-                break
-            heap[index] = cvar
-            pos[cvar] = index
-            index = child
-        heap[index] = var
-        pos[var] = index
-
-    def _heap_pop(self) -> int:
-        heap, pos = self._heap, self._heap_pos
-        top = heap[0]
-        pos[top] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._heap_down(0)
-        return top
-
     def _decide(self) -> int:
-        """Pick the unassigned variable with the highest activity.
+        """Pop the unassigned variable with the highest activity.
 
         Assigned variables stay in the heap lazily; pop until an
-        unassigned one surfaces (they re-enter on backtrack).
+        unassigned one surfaces (they re-enter on backtrack).  The pop
+        sifts the heap's last variable down from the root in place.
         """
-        values = self._val
-        while self._heap:
-            var = self._heap_pop()
-            if values[var] < 0:
-                return var
+        values, heap = self._val, self._heap
+        pos, activity = self._heap_pos, self._activity
+        while heap:
+            top = heap[0]
+            pos[top] = -1
+            var = heap.pop()
+            size = len(heap)
+            if size:
+                key = activity[var]
+                index = 0
+                while True:
+                    child = 2 * index + 1
+                    if child >= size:
+                        break
+                    cvar = heap[child]
+                    ckey = activity[cvar]
+                    right = child + 1
+                    if right < size:
+                        rvar = heap[right]
+                        rkey = activity[rvar]
+                        if rkey > ckey or (rkey == ckey and rvar < cvar):
+                            child, cvar, ckey = right, rvar, rkey
+                    if key > ckey or (key == ckey and var < cvar):
+                        break
+                    heap[index] = cvar
+                    pos[cvar] = index
+                    index = child
+                heap[index] = var
+                pos[var] = index
+            if values[top] < 0:
+                return top
         return 0
 
     def _reduce_db(self) -> None:

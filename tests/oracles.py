@@ -10,6 +10,8 @@ production layer and must give bit-identical results:
   :meth:`AgingAwareSta.onset`;
 * :func:`cover_fresh` / :func:`fresh_bmc` — the rebuild-per-depth BMC
   behind the incremental engine;
+* :func:`add_frame_reference` — the cell-by-cell frame encoder behind
+  the BMC's compiled clause template;
 * :func:`profile_operand_stream_reference` — scalar one-operand-per-
   cycle-group SP profiling behind the packed profiler;
 * :func:`device_features` (with :func:`level_aggregates` and
@@ -54,6 +56,7 @@ from repro.formal.bmc import (
     CoverObjective,
     suggested_depth,
 )
+from repro.formal.encode import encode_in_set, encode_instance, encode_xor_var
 from repro.formal.sat import SatSolver, SatStatus
 from repro.netlist.netlist import Netlist
 from repro.scheduler.belief import ArmSpec, fleet_prior
@@ -145,6 +148,60 @@ def onset_linear(
 
 
 # -- BMC ----------------------------------------------------------------
+def add_frame_reference(
+    checker: BoundedModelChecker,
+    solver: SatSolver,
+    frames: List[Dict[str, int]],
+    objective_vars: List[int],
+    objective: CoverObjective,
+    plan,
+) -> None:
+    """One unrolled frame, encoded cell by cell into ``solver``.
+
+    :meth:`BoundedModelChecker._add_frame` must leave ``solver`` in the
+    same state: the same variables, clauses, trail and UNSAT flag.
+    Appends the frame's net-to-variable dict to ``frames`` and its
+    cover selector to ``objective_vars``.
+    """
+    t = len(frames)
+    var_of: Dict[str, int] = {}
+    # Input nets: fresh free variables each frame.
+    for name in plan.input_nets:
+        var_of[name] = solver.new_var()
+    # DFF outputs: frame 0 pinned to init; later frames alias the
+    # previous frame's D-net variable.
+    for dff in plan.dffs:
+        q_name = dff.output_net.name
+        if t == 0:
+            q_var = solver.new_var()
+            solver.add_clause([q_var] if dff.init else [-q_var])
+            var_of[q_name] = q_var
+        else:
+            var_of[q_name] = frames[t - 1][dff.pins["D"].name]
+    # Combinational cells in topological order.
+    for inst in plan.comb_order:
+        var_of[inst.output_net.name] = solver.new_var()
+        encode_instance(solver, inst, var_of)
+    for assumption in checker.assumptions:
+        port = checker.netlist.ports[assumption.port]
+        bit_vars = [var_of[n.name] for n in port.nets]
+        encode_in_set(solver, bit_vars, assumption.allowed)
+    or_vars = [
+        encode_xor_var(solver, var_of[left], var_of[right])
+        for left, right in objective.differ
+    ]
+    or_vars.extend(var_of[name] for name in objective.asserted)
+    all_vars = [var_of[name] for name in objective.asserted_all]
+    if or_vars or all_vars:
+        frame_obj = solver.new_var()
+        if or_vars:
+            solver.add_clause([-frame_obj] + or_vars)
+        for v in all_vars:
+            solver.add_clause([-frame_obj, v])
+        objective_vars.append(frame_obj)
+    frames.append(var_of)
+
+
 def cover_fresh(
     checker: BoundedModelChecker,
     objective: CoverObjective,
@@ -162,7 +219,7 @@ def cover_fresh(
     result = None
     for depth in range(1, max_depth + 1):
         solver = SatSolver()
-        frames: List[Dict[str, int]] = []
+        frames: List[Mapping[str, int]] = []
         obj_vars: List[int] = []
         for _ in range(depth):
             checker._add_frame(solver, frames, obj_vars, objective, plan)

@@ -266,6 +266,44 @@ class TestVerbTelemetry:
         assert records[-1]["counters"] == {"fake.count": 1}
 
 
+class TestLiftTrace:
+    """``repro lift --trace`` splits the lift into frame encoding and
+    SAT search, and pins the unrolling's size."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        from repro.core import experiments
+
+        path = str(tmp_path_factory.mktemp("lift") / "lift.jsonl")
+        # A fresh process-wide context: a report another test lifted
+        # already would come from the cache and record no BMC work.
+        saved = experiments._DEFAULT_CONTEXT
+        experiments._DEFAULT_CONTEXT = None
+        try:
+            code, text = _run(["lift", "--unit", "alu", "--trace", path])
+        finally:
+            experiments._DEFAULT_CONTEXT = saved
+        assert code == 0
+        assert f"  trace written to {path}" in text
+        return path
+
+    def test_summary_splits_encode_and_solve(self, trace):
+        code, text = _run(["trace", "summarize", trace])
+        assert code == 0
+        assert "bmc.encode_s" in text
+        assert "sat.solve_s" in text
+
+    def test_unrolling_size_is_pinned(self, trace):
+        from repro.core import telemetry
+
+        counters = telemetry.read_trace(trace)[-1]["counters"]
+        # Variables allocated and clauses handed to the solver by the
+        # frame encoder: the cell-by-cell encoder's counts.
+        assert counters["bmc.vars"] == 10224
+        assert counters["bmc.clauses"] == 29324
+        assert counters["bmc.frames"] == 20
+
+
 class TestCountFlags:
     """Counts that must be >= 1 fail at parse time with exit 2 instead
     of crashing (or, for --batch-size, never terminating) later."""

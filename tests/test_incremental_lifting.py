@@ -3,8 +3,10 @@
 The incremental BMC engine (one persistent solver, per-depth cover
 objectives asserted through assumption literals) must be observationally
 identical to the rebuild-per-depth oracle (``tests/oracles.py``): same
-verdict and same witness length for every cover query.  These tests drive
-both engines over randomly drawn failure models on the ALU and FPU
+verdict and same witness length for every cover query.  Its frames,
+instantiated from a compiled clause template, must leave the solver in
+the state the cell-by-cell oracle encoder leaves it in.  These tests
+drive the engines over randomly drawn failure models on the ALU and FPU
 shadow netlists, and check that sharding endpoint pairs across worker
 processes changes nothing about the lifting report.
 """
@@ -19,14 +21,21 @@ from repro.core.config import ErrorLiftingConfig
 from repro.core.pool import fork_available
 from repro.cpu.alu_design import build_alu
 from repro.cpu.fpu_design import build_fpu
-from repro.formal.bmc import BmcStatus, BoundedModelChecker, CoverObjective
+from repro.cpu.mappers import AluMapper, FpuMapper
+from repro.formal.bmc import (
+    BmcStatus, BoundedModelChecker, CoverObjective, _FramePlan,
+)
+from repro.formal.encode import EncodingError
+from repro.formal.sat import SatSolver
 from repro.lifting.instrument import instrument_for_cover
 from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
 from repro.lifting.parallel import lift_pairs
+from repro.netlist.cells import make_vega28_library
+from repro.netlist.netlist import Netlist
 from repro.sta.timing import TimingViolation
 
-from oracles import cover_fresh, fresh_bmc
+from oracles import add_frame_reference, cover_fresh, fresh_bmc
 
 
 def _dff_pairs(netlist, limit=8):
@@ -95,6 +104,118 @@ class TestIncrementalFreshEquivalence:
             assert (
                 incremental.trace.property_cycle == fresh.trace.property_cycle
             ), label
+
+
+def _solver_state(solver):
+    return (
+        solver.num_vars,
+        [c.lits for c in solver._clauses],
+        list(solver._trail),
+        solver._unsat,
+    )
+
+
+def _assert_same_unrolling(checker, objective, depth, label):
+    """Template frames and oracle frames leave equal solvers.
+
+    Both solvers are solved after each frame, as the incremental engine
+    does, so the next frame meets root-level assignments.
+    """
+    plan = checker._frame_plan(objective)
+    template, reference = SatSolver(), SatSolver()
+    template_frames, reference_frames = [], []
+    template_objs, reference_objs = [], []
+    for _ in range(depth):
+        checker._add_frame(
+            template, template_frames, template_objs, objective, plan
+        )
+        add_frame_reference(
+            checker, reference, reference_frames, reference_objs,
+            objective, plan,
+        )
+        assert _solver_state(template) == _solver_state(reference), label
+        assert template_objs == reference_objs, label
+        assert dict(template_frames[-1]) == reference_frames[-1], label
+        for solver in (template, reference):
+            solver.solve(
+                conflict_limit=solver.conflicts + 200,
+                assumptions=[template_objs[-1]],
+            )
+        assert _solver_state(template) == _solver_state(reference), label
+
+
+def _shared_d_netlist():
+    """Two DFF pairs that each share one D net.
+
+    ``d`` is free; ``one`` is a TIE1 output, so its variable is assigned
+    at the root in every frame.  From frame 1 on each pair's Q slots
+    alias one variable, and the cells and the objective over them
+    repeat a variable or turn tautological.
+    """
+    nl = Netlist("shared_d", make_vega28_library())
+    a = nl.add_input_port("a").bit(0)
+    net = {name: nl.add_net(name) for name in (
+        "one", "d", "q1", "q2", "q3", "q4", "both", "either",
+    )}
+    nl.add_instance("TIE1", {"Y": net["one"]})
+    nl.add_instance("AND2", {"A": a, "B": net["one"], "Y": net["d"]})
+    nl.add_instance("DFF", {"D": net["d"], "Q": net["q1"]})
+    nl.add_instance("DFF", {"D": net["d"], "Q": net["q2"]}, init=1)
+    nl.add_instance("DFF", {"D": net["one"], "Q": net["q3"]})
+    nl.add_instance("DFF", {"D": net["one"], "Q": net["q4"]})
+    nl.add_instance(
+        "AND2", {"A": net["q1"], "B": net["q2"], "Y": net["both"]}
+    )
+    nl.add_instance(
+        "OR2", {"A": net["q3"], "B": net["q4"], "Y": net["either"]}
+    )
+    return nl
+
+
+class TestFrameTemplateEquivalence:
+    @pytest.mark.parametrize("unit", ["alu", "fpu"])
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_template_frames_match_cell_encoder(self, unit, data):
+        label, instr = data.draw(st.sampled_from(_unit_instrumentations(unit)))
+        depth = data.draw(st.integers(min_value=1, max_value=4))
+        mapper = AluMapper() if unit == "alu" else FpuMapper()
+        checker = BoundedModelChecker(
+            instr.netlist, assumptions=mapper.assumptions()
+        )
+        objective = CoverObjective(differ=instr.output_pairs)
+        _assert_same_unrolling(checker, objective, depth, label)
+
+    def test_shared_d_net_takes_the_deduplicating_path(self):
+        checker = BoundedModelChecker(_shared_d_netlist())
+        objective = CoverObjective(
+            differ=[("q1", "q2")], asserted=["both"], asserted_all=["either"]
+        )
+        _assert_same_unrolling(checker, objective, 4, "shared D")
+
+    def test_cover_on_shared_d_net(self):
+        checker = BoundedModelChecker(_shared_d_netlist())
+        # q1 and q2 start 0 and 1 but load the same D from cycle 1 on.
+        differ = checker.cover(CoverObjective(differ=[("q1", "q2")]), 3)
+        assert differ.status is BmcStatus.COVERED
+        assert differ.trace.property_cycle == 0
+        both = checker.cover(CoverObjective(asserted=["both"]), 3)
+        assert both.status is BmcStatus.COVERED
+        assert both.trace.property_cycle == 1
+        assert both.trace.inputs[0]["a"] == 1
+
+    def test_net_without_slot_is_an_encoding_error(self):
+        checker = BoundedModelChecker(_shared_d_netlist())
+        objective = CoverObjective(asserted=["both"])
+        plan = checker._frame_plan(objective)
+        # Without the cell driving ``d``, the DFFs' D net has no slot.
+        broken = _FramePlan(
+            comb_order=[i for i in plan.comb_order if i.output_net.name != "d"],
+            dffs=plan.dffs,
+            input_nets=plan.input_nets,
+        )
+        with pytest.raises(EncodingError, match="'d' has no slot"):
+            checker._compile(broken, objective)
 
 
 ADDER_VIOLATIONS = [
